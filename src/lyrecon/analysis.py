@@ -151,8 +151,6 @@ def load_lexicon(source: Path | str | Iterable[str], name: str | None = None) ->
         if not entry or entry.startswith("#"):
             continue
         words.add(entry.lower())
-    if not words:
-        raise EmptyLexicon(f"lexicon {name!r} has no words")
     return Lexicon(name=name, words=frozenset(words))
 
 
@@ -161,8 +159,6 @@ def lexicon_ratio(tokens: Iterable[str], lexicon: Lexicon) -> float:
 
     An empty token list scores 0.
     """
-    if not lexicon.words:
-        raise EmptyLexicon(f"lexicon {lexicon.name!r} has no words")
     total = 0
     hits = 0
     for tok in tokens:

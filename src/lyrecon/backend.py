@@ -29,10 +29,12 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
 from lyrecon.errors import LyreconError
+from lyrecon.pipeline import CorpusEntry, CorpusFormatError, corpus_entry_line, parse_entry
 from lyrecon.prompt import Prompt
 
 __all__ = [
@@ -41,8 +43,8 @@ __all__ = [
     "BackendConfig",
     "BackendUnavailable",
     "BatchItem",
+    "DEFAULT_MODELS",
     "EmptyCompletion",
-    "GenerationResult",
     "LyricsCache",
     "MOCK_TIMESTAMP",
     "cache_key",
@@ -57,6 +59,12 @@ API_KEY_ENV = "LYRECON_API_KEY"
 MOCK_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
 _RETRYABLE_STATUS = {429}
+
+# model used when the config names none, per backend kind
+DEFAULT_MODELS = {"mock": "mock-lyricist", "live": "gpt-4o"}
+
+# key order of a cache file
+_CACHE_KEYS = ("track_id", "prompt_digest", "lyrics", "model", "created_at")
 
 
 class BackendUnavailable(LyreconError):
@@ -73,11 +81,15 @@ class EmptyCompletion(LyreconError):
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Backend identity plus decoding, retry, and concurrency knobs."""
+    """Backend identity plus decoding, retry, and concurrency knobs.
+
+    The field defaults are the program's defaults; the CLI and config files
+    only override them.
+    """
 
     kind: str = "mock"  # "mock" or "live"
     endpoint: str = ""
-    model: str = "mock-lyricist"
+    model: str = ""  # empty: DEFAULT_MODELS[kind]
     temperature: float = 0.7
     max_output_tokens: int = 1024
     timeout: float = 60.0
@@ -86,10 +98,17 @@ class BackendConfig:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        if self.kind not in ("mock", "live"):
+        if self.kind not in DEFAULT_MODELS:
             raise ValueError(f"backend kind must be 'mock' or 'live', got {self.kind!r}")
-        if self.kind == "live" and not self.endpoint:
-            raise ValueError("live backend requires an endpoint URL")
+        if not self.model:
+            object.__setattr__(self, "model", DEFAULT_MODELS[self.kind])
+        if self.kind == "live":
+            url = urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(
+                    f"live backend requires an http(s) endpoint URL with a host, "
+                    f"got {self.endpoint!r}"
+                )
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
@@ -112,16 +131,6 @@ class BackendConfig:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class GenerationResult:
-    track_id: str
-    prompt_digest: str
-    lyrics: str
-    model: str
-    created_at: str
-    cached: bool
 
 
 def cache_key(
@@ -149,7 +158,9 @@ class LyricsCache:
     """One JSON file per digest under ``<root>/<digest[:2]>/<digest>``.
 
     Writes go through a temp file and a hard link, so the first completed
-    write for a digest wins and concurrent writers never interleave.
+    write for a digest wins and concurrent writers never interleave. An
+    entry that does not parse, or that is filed under another digest, is
+    deleted on read and reported as a miss, so the next write replaces it.
     """
 
     def __init__(self, root: Path | str):
@@ -158,34 +169,23 @@ class LyricsCache:
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / digest
 
-    def get(self, digest: str) -> GenerationResult | None:
+    def get(self, digest: str) -> CorpusEntry | None:
         path = self._path(digest)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            entry = parse_entry(path.read_bytes())
+            if entry.prompt_digest == digest:
+                return entry
         except FileNotFoundError:
             return None
-        return GenerationResult(
-            track_id=data["track_id"],
-            prompt_digest=data["prompt_digest"],
-            lyrics=data["lyrics"],
-            model=data["model"],
-            created_at=data["created_at"],
-            cached=False,
-        )
+        except CorpusFormatError:
+            pass
+        path.unlink(missing_ok=True)  # unreadable or misfiled: a miss
+        return None
 
-    def put(self, result: GenerationResult) -> None:
+    def put(self, result: CorpusEntry) -> None:
         path = self._path(result.prompt_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "track_id": result.track_id,
-                "prompt_digest": result.prompt_digest,
-                "lyrics": result.lyrics,
-                "model": result.model,
-                "created_at": result.created_at,
-            },
-            ensure_ascii=False,
-        )
+        payload = corpus_entry_line(result, _CACHE_KEYS)
         tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
         tmp.write_text(payload, encoding="utf-8")
         try:
@@ -235,7 +235,8 @@ def require_credential(config: BackendConfig) -> str:
 def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str:
     """POST the chat-completion request, retrying transient failures.
 
-    Retryable: timeouts, connection errors, HTTP 429 and 5xx. Backoff is
+    Retryable: any ``requests`` exception (timeouts, refused or dropped
+    connections, broken response bodies), HTTP 429 and 5xx. Backoff is
     ``backoff_base * 2**(attempt-1)`` seconds, so delays never shrink.
     """
     body = {
@@ -253,7 +254,7 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
             response = requests.post(
                 config.endpoint, json=body, headers=headers, timeout=config.timeout
             )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except requests.RequestException as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             continue
         if response.status_code == 200:
@@ -282,7 +283,7 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
 
 def generate(
     prompt: Prompt, config: BackendConfig, cache: LyricsCache | None
-) -> GenerationResult:
+) -> CorpusEntry:
     """Produce lyrics for one prompt, serving repeats from the cache.
 
     A cache hit returns the stored result (original timestamp preserved,
@@ -305,13 +306,12 @@ def generate(
         created_at = _now_utc()
     if not lyrics.strip():
         raise EmptyCompletion(f"track {prompt.track_id}: backend returned blank text")
-    result = GenerationResult(
+    result = CorpusEntry(
         track_id=prompt.track_id,
         prompt_digest=digest,
-        lyrics=lyrics,
         model=config.model,
         created_at=created_at,
-        cached=False,
+        lyrics=lyrics,
     )
     if cache is not None:
         cache.put(result)
@@ -321,7 +321,7 @@ def generate(
 @dataclass(frozen=True)
 class BatchItem:
     track_id: str
-    result: GenerationResult | None
+    result: CorpusEntry | None
     error: str | None
 
     @property

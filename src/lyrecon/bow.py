@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from lyrecon.errors import LyreconError
+from lyrecon.errors import LineError
 
 __all__ = [
     "BowCorpus",
@@ -43,14 +43,8 @@ __all__ = [
 _FORBIDDEN_VOCAB_CHARS = ",:"
 
 
-class BowParseError(LyreconError):
+class BowParseError(LineError):
     """Base for BoW file rejections; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class MissingVocabHeader(BowParseError):

@@ -14,6 +14,7 @@ import hashlib
 import json
 import statistics
 import sys
+import typing
 from pathlib import Path
 
 from lyrecon import backend as be
@@ -24,7 +25,6 @@ from lyrecon.analysis import load_lexicon, segment
 from lyrecon.bow import load_bow
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
-    CorpusEntry,
     RunManifest,
     corpus_entry_line,
     file_digest,
@@ -88,15 +88,20 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 # --- reconstruct ------------------------------------------------------------
 
+# BackendConfig field -> its type; the config key for ``kind`` is "backend"
+_BACKEND_FIELDS = typing.get_type_hints(be.BackendConfig)
 _CONFIG_KEYS = (
-    "backend", "endpoint", "model", "temperature", "max_output_tokens",
-    "timeout", "max_attempts", "backoff_base", "max_in_flight",
+    "backend", *(name for name in _BACKEND_FIELDS if name != "kind"),
     "cache_dir", "max_vocabulary_words",
 )
 
 
 def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, dict]:
-    """Merge flags over the optional config file over built-in defaults."""
+    """Merge flags over the optional config file over BackendConfig's defaults.
+
+    Numbers are coerced to the field's type, so a config file's
+    ``"temperature": 1`` hashes like ``--temperature 1.0``.
+    """
     settings: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -108,25 +113,19 @@ def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, d
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    kind = settings.get("backend", "mock")
-    config = be.BackendConfig(
-        kind=kind,
-        endpoint=settings.get("endpoint", ""),
-        model=settings.get("model", "mock-lyricist" if kind == "mock" else "gpt-4o"),
-        temperature=float(settings.get("temperature", 0.7)),
-        max_output_tokens=int(settings.get("max_output_tokens", 1024)),
-        timeout=float(settings.get("timeout", 60.0)),
-        max_attempts=int(settings.get("max_attempts", 3)),
-        backoff_base=float(settings.get("backoff_base", 1.0)),
-        max_in_flight=int(settings.get("max_in_flight", 4)),
-    )
-    return config, settings
+    kwargs = {}
+    for name, ftype in _BACKEND_FIELDS.items():
+        key = "backend" if name == "kind" else name
+        if key in settings:
+            value = settings[key]
+            kwargs[name] = ftype(value) if ftype in (int, float) else value
+    return be.BackendConfig(**kwargs), settings
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     try:
         config, settings = _build_backend_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         return _fail(f"bad configuration: {exc}")
     try:
         be.require_credential(config)  # before any state is created
@@ -185,14 +184,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
             def write_item(item: be.BatchItem) -> None:
                 if item.result is not None:
-                    entry = CorpusEntry(
-                        track_id=item.result.track_id,
-                        prompt_digest=item.result.prompt_digest,
-                        model=item.result.model,
-                        created_at=item.result.created_at,
-                        lyrics=item.result.lyrics,
-                    )
-                    fh.write(corpus_entry_line(entry) + "\n")
+                    fh.write(corpus_entry_line(item.result) + "\n")
                     fh.flush()
                     manifest.done(item.track_id)
                 else:
@@ -236,18 +228,17 @@ def _read_stats_json(path: Path | str) -> ev.CorpusStats:
     return ev.CorpusStats(**{k: data[k] for k in STATS_FIELDS})
 
 
-def _fidelity_report(entries, bow_path: str, out_dir: Path) -> float:
+def _fidelity_report(entries, docs, bow_path: str, out_dir: Path) -> float:
     with open(bow_path, encoding="utf-8") as fh:
         corpus = load_bow(fh)
     tracks = corpus.by_track_id()
     rows = []
     coverages = []
     correlations = []
-    for entry in entries:
+    for entry, doc in zip(entries, docs):
         track = tracks.get(entry.track_id)
         if track is None:
             continue
-        doc = segment(entry.lyrics)
         coverage = ev.bow_coverage(doc, track, corpus.vocab)
         coverages.append(coverage)
         try:
@@ -278,6 +269,17 @@ def _fidelity_report(entries, bow_path: str, out_dir: Path) -> float:
     return mean_coverage
 
 
+def _write_comparison(report: ev.ComparisonReport, left_label: str,
+                      right_label: str, out_dir: Path) -> str:
+    """Write report.txt and report.tsv; returns the text table."""
+    text = ev.render_comparison_text(report, left_label, right_label)
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    (out_dir / "report.tsv").write_text(
+        ev.render_comparison_tsv(report), encoding="utf-8"
+    )
+    return text
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,11 +304,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         except (LyreconError, OSError) as exc:
             return _fail(f"{args.reference}: {exc}")
         _write_stats_json(ref_stats, out_dir / "stats_reference.json")
-        report = ev.compare(stats, ref_stats)
-        text = ev.render_comparison_text(report, args.label, args.reference_label)
-        (out_dir / "report.txt").write_text(text, encoding="utf-8")
-        (out_dir / "report.tsv").write_text(
-            ev.render_comparison_tsv(report), encoding="utf-8"
+        _write_comparison(
+            ev.compare(stats, ref_stats), args.label, args.reference_label, out_dir
         )
     else:
         (out_dir / "report.txt").write_text(
@@ -316,7 +315,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"lyric sets: {stats.lyric_set_count}")
     if args.bow:
         try:
-            mean_coverage = _fidelity_report(entries, args.bow, out_dir)
+            mean_coverage = _fidelity_report(entries, docs, args.bow, out_dir)
         except (LyreconError, OSError) as exc:
             return _fail(str(exc))
         print(f"mean bow_coverage: {mean_coverage:.6f}")
@@ -332,13 +331,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         right = _read_stats_json(args.right)
     except (LyreconError, OSError, ValueError, TypeError) as exc:
         return _fail(str(exc))
-    report = ev.compare(left, right)
-    text = ev.render_comparison_text(report, args.left_label, args.right_label)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    (out_dir / "report.tsv").write_text(
-        ev.render_comparison_tsv(report), encoding="utf-8"
+    text = _write_comparison(
+        ev.compare(left, right), args.left_label, args.right_label, out_dir
     )
     print(text, end="")
     return 0
@@ -363,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_join.add_argument("--meta", required=True, help="artist/title CSV")
     p_join.add_argument("--mood-table", default=None,
                         help="mood arc table (default: packaged octants)")
-    p_join.add_argument("--mood-columns", default="track_id,valence,arousal",
+    p_join.add_argument("--mood-columns", default=str(md.MOOD_COLUMNS),
                         help="id,valence,arousal column names")
-    p_join.add_argument("--meta-columns", default="track_id,artist,title",
+    p_join.add_argument("--meta-columns", default=str(md.META_COLUMNS),
                         help="id,artist,title column names")
     p_join.add_argument("--out", "-o", required=True, help="records file to write")
     p_join.set_defaults(func=cmd_join)

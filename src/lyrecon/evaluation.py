@@ -208,16 +208,23 @@ def _fmt(value: float, integer: bool) -> str:
     return f"{int(value):,}" if integer else f"{value:.2f}"
 
 
+def _aligned_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Columns two spaces apart: the first left-aligned, the rest right-aligned."""
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(header)]
+    lines = []
+    for name, *values in (header, *rows):
+        cells = [f"{name:<{widths[0]}}"] + [f"{v:>{w}}" for v, w in zip(values, widths[1:])]
+        lines.append("  ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def render_stats_text(stats: CorpusStats, label: str = "Corpus") -> str:
     """One corpus as an aligned two-column table."""
-    rows = [(row_label, _fmt(getattr(stats, field_name), integer))
-            for field_name, row_label, integer in STAT_ROWS]
-    name_width = max(len("Item"), max(len(r[0]) for r in rows))
-    val_width = max(len(label), max(len(r[1]) for r in rows))
-    lines = [f"{'Item':<{name_width}}  {label:>{val_width}}"]
-    for name, value in rows:
-        lines.append(f"{name:<{name_width}}  {value:>{val_width}}")
-    return "\n".join(lines) + "\n"
+    return _aligned_table(
+        ("Item", label),
+        [(row_label, _fmt(getattr(stats, field_name), integer))
+         for field_name, row_label, integer in STAT_ROWS],
+    )
 
 
 def render_comparison_text(
@@ -226,17 +233,11 @@ def render_comparison_text(
     right_label: str = "Original",
 ) -> str:
     """Aligned three-column table: Item / left / right."""
-    rows = [
-        (row.label, _fmt(row.left, row.integer), _fmt(row.right, row.integer))
-        for row in report.rows
-    ]
-    name_width = max(len("Item"), max(len(r[0]) for r in rows))
-    lw = max(len(left_label), max(len(r[1]) for r in rows))
-    rw = max(len(right_label), max(len(r[2]) for r in rows))
-    lines = [f"{'Item':<{name_width}}  {left_label:>{lw}}  {right_label:>{rw}}"]
-    for name, lv, rv in rows:
-        lines.append(f"{name:<{name_width}}  {lv:>{lw}}  {rv:>{rw}}")
-    return "\n".join(lines) + "\n"
+    return _aligned_table(
+        ("Item", left_label, right_label),
+        [(row.label, _fmt(row.left, row.integer), _fmt(row.right, row.integer))
+         for row in report.rows],
+    )
 
 
 def render_comparison_tsv(report: ComparisonReport) -> str:

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from lyrecon.bow import BowCorpus, ordered_vocabulary
-from lyrecon.errors import LyreconError
-from lyrecon.mood import MoodPoint, MoodTable, mood_angle, mood_label
-from lyrecon.mood import ZeroMoodVector as _ZeroAngleError
+from lyrecon.errors import LineError
+from lyrecon.mood import MoodPoint, MoodTable, ZeroMoodVector, mood_angle, mood_label
 
 __all__ = [
     "ColumnMap",
@@ -47,14 +46,8 @@ __all__ = [
 ]
 
 
-class TableParseError(LyreconError):
+class TableParseError(LineError):
     """Base for metadata-table rejections; carries the 1-based file line."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class MissingColumn(TableParseError):
@@ -67,10 +60,6 @@ class NonNumericValue(TableParseError):
 
 class DuplicateId(TableParseError):
     pass
-
-
-class ZeroMoodVector(TableParseError, _ZeroAngleError):
-    """Zero vector in a mood row: both a parse rejection and an angle error."""
 
 
 class MalformedLine(TableParseError):
@@ -102,6 +91,9 @@ class ColumnMap:
         if len(parts) != 3 or not all(parts):
             raise ValueError(f"column map must be 'id,first,second', got {text!r}")
         return cls(id_column=parts[0], value_columns=(parts[1], parts[2]))
+
+    def __str__(self) -> str:
+        return ",".join((self.id_column, *self.value_columns))
 
 
 MOOD_COLUMNS = ColumnMap(id_column="track_id", value_columns=("valence", "arousal"))

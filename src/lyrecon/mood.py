@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from lyrecon.errors import LyreconError
+from lyrecon.errors import LineError
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,11 +29,15 @@ TWO_PI = 2.0 * math.pi
 _EDGE_EPS = 1e-9
 
 
-class ZeroMoodVector(LyreconError):
-    """The (0, 0) mood point has no angle and is rejected outright."""
+class ZeroMoodVector(LineError):
+    """The (0, 0) mood point has no angle and is rejected outright.
+
+    Raised by :func:`mood_angle`, and with a line number by the mood-score
+    parser in :mod:`lyrecon.metadata`.
+    """
 
 
-class MoodTableError(LyreconError):
+class MoodTableError(LineError):
     """Base for mood-table validation failures."""
 
 
@@ -165,14 +169,12 @@ def parse_mood_table(lines: Iterable[str]) -> MoodTable:
             continue
         parts = text.split()
         if len(parts) < 3:
-            raise MoodTableError(
-                f"line {line_no}: expected 'start end label', got {text!r}"
-            )
+            raise MoodTableError(f"expected 'start end label', got {text!r}", line_no)
         try:
             start = float(parts[0]) * math.pi
             end = float(parts[1]) * math.pi
         except ValueError as exc:
-            raise MoodTableError(f"line {line_no}: non-numeric angle in {text!r}") from exc
+            raise MoodTableError(f"non-numeric angle in {text!r}", line_no) from exc
         entries.append(MoodArc(start=start, end=end, label=" ".join(parts[2:])))
     table = MoodTable(entries=tuple(entries))
     validate_mood_table(table)

@@ -5,9 +5,10 @@ Three on-disk artifacts connect the CLI commands:
 * records file: one JSON object per line holding a full
   :class:`~lyrecon.metadata.ReconstructionRecord` (written by ``join``,
   read by ``reconstruct``),
-* corpus file: one JSON object per line with ``track_id``,
-  ``prompt_digest``, ``model``, ``created_at`` and ``lyrics`` (newlines
-  inside lyrics are JSON-escaped, so the file stays line-oriented),
+* corpus file: one :class:`CorpusEntry` per line, a JSON object with
+  ``track_id``, ``prompt_digest``, ``model``, ``created_at`` and
+  ``lyrics`` (newlines inside lyrics are JSON-escaped, so the file stays
+  line-oriented),
 * manifest: an append-only JSON-lines log next to the corpus file: a
   header line binding the run to its config and input digests, then one
   write-ahead line per track state change. Replaying the log (last status
@@ -25,11 +26,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from lyrecon.errors import LyreconError
+from lyrecon.errors import LineError, LyreconError
 from lyrecon.metadata import ReconstructionRecord
 from lyrecon.mood import MoodPoint, mood_angle
 
@@ -41,6 +42,7 @@ __all__ = [
     "RunManifest",
     "corpus_entry_line",
     "file_digest",
+    "parse_entry",
     "read_corpus",
     "read_records",
     "recover_corpus_file",
@@ -49,20 +51,12 @@ __all__ = [
 ]
 
 
-class RecordsFormatError(LyreconError):
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+class RecordsFormatError(LineError):
+    pass
 
 
-class CorpusFormatError(LyreconError):
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+class CorpusFormatError(LineError):
+    pass
 
 
 class ManifestMismatch(LyreconError):
@@ -143,30 +137,33 @@ def read_records(path: Path | str) -> list[ReconstructionRecord]:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One generated lyric: a corpus line, a cache file, a backend result.
+
+    ``cached`` tells whether the backend served the entry from its cache;
+    it is never stored.
+    """
+
     track_id: str
     prompt_digest: str
     model: str
     created_at: str
     lyrics: str
+    cached: bool = field(default=False, compare=False)
 
 
-def corpus_entry_line(entry: CorpusEntry) -> str:
-    return json.dumps(
-        {
-            "track_id": entry.track_id,
-            "prompt_digest": entry.prompt_digest,
-            "model": entry.model,
-            "created_at": entry.created_at,
-            "lyrics": entry.lyrics,
-        },
-        ensure_ascii=False,
-    )
+_CORPUS_KEYS = ("track_id", "prompt_digest", "model", "created_at", "lyrics")
 
 
-def _entry_from_line(line: str, line_no: int) -> CorpusEntry:
+def corpus_entry_line(entry: CorpusEntry, keys: Sequence[str] = _CORPUS_KEYS) -> str:
+    """The entry as one JSON line holding ``keys`` in that order."""
+    return json.dumps({key: getattr(entry, key) for key in keys}, ensure_ascii=False)
+
+
+def parse_entry(text: str | bytes, line_no: int | None = None) -> CorpusEntry:
+    """Parse one JSON-encoded entry, whatever its key order."""
     try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:
         raise CorpusFormatError(f"not valid JSON: {exc}", line_no) from exc
     try:
         entry = CorpusEntry(
@@ -189,7 +186,7 @@ def read_corpus(path: Path | str) -> list[CorpusEntry]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            entries.append(_entry_from_line(line, line_no))
+            entries.append(parse_entry(line, line_no))
     return entries
 
 
@@ -208,7 +205,7 @@ def recover_corpus_file(path: Path) -> list[CorpusEntry]:
         if not line.strip():
             continue
         try:
-            entries.append(_entry_from_line(line, i + 1))
+            entries.append(parse_entry(line, i + 1))
         except CorpusFormatError:
             if i == len(raw_lines) - 1:
                 _atomic_write(path, "".join(l + "\n" for l in raw_lines[:i]))

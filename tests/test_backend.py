@@ -254,3 +254,68 @@ def test_batch_auth_checked_before_any_work(monkeypatch):
         with pytest.raises(AuthMissing):
             run_batch([_prompt()], _live_config(server), None)
         assert server.request_count == 0
+
+
+# --- unreadable cache entries -----------------------------------------------
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: json.dumps(data)[:40],
+        lambda data: json.dumps({k: v for k, v in data.items() if k != "model"}),
+        lambda data: json.dumps({**data, "lyrics": ""}),
+        lambda data: json.dumps({**data, "prompt_digest": "0" * 64}),
+    ],
+    ids=["truncated", "missing-field", "empty-lyrics", "other-digest"],
+)
+def test_unreadable_cache_entry_is_a_miss_and_replaced(tmp_path, damage):
+    cache = LyricsCache(tmp_path / "cache")
+    config = BackendConfig(kind="mock")
+    first = generate(_prompt(), config, cache)
+    stored = tmp_path / "cache" / first.prompt_digest[:2] / first.prompt_digest
+    original = stored.read_bytes()
+    stored.write_text(damage(json.loads(original)))
+    assert cache.get(first.prompt_digest) is None
+    assert not stored.exists()
+    stored.write_text(damage(json.loads(original)))
+    again = generate(_prompt(), config, cache)
+    assert again.cached is False
+    assert again == first
+    assert stored.read_bytes() == original
+
+
+# --- endpoint and transport errors ------------------------------------------
+
+@pytest.mark.parametrize(
+    "endpoint", ["notaurl", "ftp://host/v1", "http://", "https:///v1/chat"]
+)
+def test_live_endpoint_needs_http_scheme_and_host(endpoint):
+    with pytest.raises(ValueError, match="endpoint"):
+        BackendConfig(kind="live", endpoint=endpoint)
+
+
+def test_live_model_default_differs_from_mock():
+    live = BackendConfig(kind="live", endpoint="https://api.example.com/v1")
+    assert live.model == "gpt-4o"
+    assert BackendConfig(kind="mock").model == "mock-lyricist"
+    assert BackendConfig(kind="live", endpoint=live.endpoint, model="m").model == "m"
+
+
+def test_any_requests_exception_ends_as_failed_item(monkeypatch, api_key):
+    import lyrecon.backend as backend_module
+
+    calls = []
+
+    def broken_post(*args, **kwargs):
+        calls.append(args)
+        raise backend_module.requests.exceptions.ChunkedEncodingError("body cut short")
+
+    monkeypatch.setattr(backend_module.requests, "post", broken_post)
+    config = BackendConfig(
+        kind="live", endpoint="http://127.0.0.1:1/v1", max_attempts=2, backoff_base=0.0
+    )
+    items = run_batch([_prompt()], config, None)
+    assert len(calls) == 2
+    assert not items[0].ok
+    assert "BackendUnavailable" in items[0].error
+    assert "ChunkedEncodingError" in items[0].error

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -463,3 +466,86 @@ def test_theta_values_survive_records_file(tmp_path):
     records_path = _join(tmp_path, 10, seed=3)
     for record in read_records(records_path):
         assert 0 <= record.theta < 2 * math.pi
+
+
+# --- recovery and defaults --------------------------------------------------
+
+def _cache_files(cache_dir: Path) -> dict[str, tuple[bytes, int]]:
+    return {
+        str(p.relative_to(cache_dir)): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in cache_dir.rglob("*") if p.is_file()
+    }
+
+
+def test_reconstruct_regenerates_only_a_truncated_cache_entry(tmp_path):
+    records = _join(tmp_path, 40, seed=4)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    reference = out.read_bytes()
+    cache_dir = tmp_path / "corpus.jsonl.cache"
+    before = _cache_files(cache_dir)
+    victim = sorted(before)[7]
+    (cache_dir / victim).write_bytes(before[victim][0][: len(before[victim][0]) // 2])
+    out.unlink()
+    Path(str(out) + ".manifest").unlink()
+
+    assert _reconstruct_mock(records, out) == 0
+    assert out.read_bytes() == reference
+    after = _cache_files(cache_dir)
+    assert set(after) == set(before)
+    assert after[victim][0] == before[victim][0]
+    assert {k: v for k, v in after.items() if k != victim} == {
+        k: v for k, v in before.items() if k != victim
+    }
+
+
+def test_reconstruct_bad_endpoint_exits_2_with_one_line(tmp_path):
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    src = Path(be.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyrecon.cli", "reconstruct",
+         "--records", str(records), "-o", str(out),
+         "--backend", "live", "--endpoint", "notaurl"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "LYRECON_API_KEY": "k"},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("lyrecon: error: bad configuration: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_file_integer_temperature_hashes_like_the_flag(tmp_path):
+    records = _join(tmp_path, 5, seed=2)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"temperature": 1}))
+    runs = {}
+    for name, extra in (("file", ["--config", str(config_path)]),
+                        ("flag", ["--temperature", "1.0"])):
+        out = tmp_path / name / "corpus.jsonl"
+        out.parent.mkdir()
+        assert _reconstruct_mock(records, out, extra) == 0
+        header = json.loads(Path(str(out) + ".manifest").read_text().splitlines()[0])
+        cache = set(_cache_files(Path(str(out) + ".cache")))
+        runs[name] = (header["config_digest"], cache, out.read_bytes())
+    assert runs["file"] == runs["flag"]
+    default = tmp_path / "default" / "corpus.jsonl"
+    default.parent.mkdir()
+    assert _reconstruct_mock(records, default) == 0
+    assert set(_cache_files(Path(str(default) + ".cache"))) != runs["flag"][1]
+
+
+def test_reconstruct_live_default_model_is_backend_config_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("LYRECON_API_KEY", "k")
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    with FakeChatServer() as server:
+        assert cli.main([
+            "reconstruct", "--records", str(records), "-o", str(out),
+            "--backend", "live", "--endpoint", server.endpoint,
+        ]) == 0
+        expected = be.BackendConfig(kind="live", endpoint=server.endpoint).model
+        assert {r["body"]["model"] for r in server.requests} == {expected}
+    assert {e.model for e in read_corpus(out)} == {expected}
