@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -186,7 +187,10 @@ class LyricsCache:
         path = self._path(result.prompt_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = corpus_entry_line(result, _CACHE_KEYS)
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+        # one temp name per writer: the batch's threads share the pid
+        tmp = path.with_name(
+            path.name + f".tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         tmp.write_text(payload, encoding="utf-8")
         try:
             os.link(tmp, path)

@@ -232,6 +232,7 @@ def _fidelity_report(entries, docs, bow_path: str, out_dir: Path) -> float:
     with open(bow_path, encoding="utf-8") as fh:
         corpus = load_bow(fh)
     tracks = corpus.by_track_id()
+    stems: dict[str, str] = {}  # each token type is stemmed once per run
     rows = []
     coverages = []
     correlations = []
@@ -239,10 +240,10 @@ def _fidelity_report(entries, docs, bow_path: str, out_dir: Path) -> float:
         track = tracks.get(entry.track_id)
         if track is None:
             continue
-        coverage = ev.bow_coverage(doc, track, corpus.vocab)
+        coverage = ev.bow_coverage(doc, track, corpus.vocab, stems)
         coverages.append(coverage)
         try:
-            rho = ev.frequency_fidelity(doc, track, corpus.vocab)
+            rho = ev.frequency_fidelity(doc, track, corpus.vocab, stems)
             correlations.append(rho)
             rho_text = f"{rho:.6f}"
         except ev.InsufficientOverlap:
@@ -280,9 +281,20 @@ def _write_comparison(report: ev.ComparisonReport, left_label: str,
     return text
 
 
+# outputs written only with --reference, and only with --bow
+_REFERENCE_OUTPUTS = ("report.tsv", "stats_reference.json")
+_FIDELITY_OUTPUTS = ("fidelity.tsv", "fidelity_summary.json")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run in another mode must not leave its outputs behind
+    stale = (() if args.reference else _REFERENCE_OUTPUTS) + (
+        () if args.bow else _FIDELITY_OUTPUTS
+    )
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
     try:
         abstract_lex = load_lexicon(args.abstract_lexicon, "abstract")
         concrete_lex = load_lexicon(args.concrete_lexicon, "concrete")
@@ -298,9 +310,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.reference:
         try:
-            ref_entries = read_corpus(args.reference)
-            ref_docs = [segment(e.lyrics) for e in ref_entries]
-            ref_stats = ev.corpus_stats(ref_docs, abstract_lex, concrete_lex)
+            # streamed: the reference docs are never all held at once
+            ref_stats = ev.corpus_stats(
+                (segment(e.lyrics) for e in read_corpus(args.reference)),
+                abstract_lex, concrete_lex,
+            )
         except (LyreconError, OSError) as exc:
             return _fail(f"{args.reference}: {exc}")
         _write_stats_json(ref_stats, out_dir / "stats_reference.json")

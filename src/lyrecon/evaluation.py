@@ -5,21 +5,26 @@ averages, corpus-global unique unigram/bigram/trigram counts, and the
 abstract/concrete lexicon ratios. N-gram sets follow the line-local window
 rule from :mod:`lyrecon.analysis`; the lexicon ratios pool every token in
 the corpus into one stream rather than averaging per set.
+:func:`corpus_stats` reads its docs in one pass, so a corpus can be streamed
+into it (``evaluate`` streams its reference corpus) instead of held whole.
 
 Fidelity metrics tie generated text back to its BoW source: coverage is
 the fraction of a track's vocabulary whose words appear among the stemmed
 document tokens, and frequency fidelity is the Spearman rank correlation
 (average ranks for ties) between BoW counts and stemmed-token counts over
-the covered intersection.
+the covered intersection. Both take an optional ``stems`` dict that
+memoises token -> stem; ``evaluate`` passes one per run, so each distinct
+token type is stemmed once however many documents contain it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
-from lyrecon.analysis import Lexicon, LyricDoc, lexicon_ratio, ngrams, stem
+from lyrecon.analysis import Lexicon, LyricDoc, stem
 from lyrecon.bow import TrackBow, VocabTable
 from lyrecon.errors import LyreconError
 
@@ -76,44 +81,64 @@ STAT_ROWS: tuple[tuple[str, str, bool], ...] = (
 
 
 def corpus_stats(
-    docs: Sequence[LyricDoc], abstract_lex: Lexicon, concrete_lex: Lexicon
+    docs: Iterable[LyricDoc], abstract_lex: Lexicon, concrete_lex: Lexicon
 ) -> CorpusStats:
-    """The nine-row statistics for one corpus of lyric sets."""
-    if not docs:
-        raise EmptyCorpus("no lyric sets to evaluate")
-    unigrams: set[str] = set()
-    bigrams: set[tuple[str, ...]] = set()
-    trigrams: set[tuple[str, ...]] = set()
-    pooled_tokens: list[str] = []
+    """The nine-row statistics for one corpus of lyric sets, in one pass."""
+    n = lines = sections = 0
+    tokens: Counter[str] = Counter()
+    bigrams: set[tuple[str, str]] = set()
+    trigrams: set[tuple[str, str, str]] = set()
     for doc in docs:
+        n += 1
+        lines += doc.line_count
+        sections += doc.section_count
+        tokens.update(chain.from_iterable(doc.tokens))
         for line in doc.tokens:
-            unigrams.update(line)
-            bigrams.update(ngrams(line, 2))
-            trigrams.update(ngrams(line, 3))
-            pooled_tokens.extend(line)
-    n = len(docs)
+            bigrams.update(zip(line, line[1:]))
+            trigrams.update(zip(line, line[1:], line[2:]))
+    if n == 0:
+        raise EmptyCorpus("no lyric sets to evaluate")
+    words = sum(tokens.values())
+
+    def ratio(lexicon: Lexicon) -> float:
+        # same value as analysis.lexicon_ratio over the pooled tokens
+        hits = sum(tokens[w] for w in lexicon.words)
+        return 100.0 * hits / words if words else 0.0
+
     return CorpusStats(
         lyric_set_count=n,
-        avg_words_per_set=sum(d.word_count for d in docs) / n,
-        avg_lines_per_set=sum(d.line_count for d in docs) / n,
-        avg_sections_per_set=sum(d.section_count for d in docs) / n,
-        unique_unigrams=len(unigrams),
+        avg_words_per_set=words / n,
+        avg_lines_per_set=lines / n,
+        avg_sections_per_set=sections / n,
+        unique_unigrams=len(tokens),
         unique_bigrams=len(bigrams),
         unique_trigrams=len(trigrams),
-        abstract_ratio=lexicon_ratio(pooled_tokens, abstract_lex),
-        concrete_ratio=lexicon_ratio(pooled_tokens, concrete_lex),
+        abstract_ratio=ratio(abstract_lex),
+        concrete_ratio=ratio(concrete_lex),
     )
 
 
-def _doc_stem_counts(doc: LyricDoc) -> Counter[str]:
-    return Counter(stem(tok) for tok in doc.token_stream())
+def _doc_stem_counts(doc: LyricDoc, stems: dict[str, str] | None) -> Counter[str]:
+    """Stemmed-token counts; ``stems`` memoises token -> stem across calls."""
+    if stems is None:
+        stems = {}
+    counts: Counter[str] = Counter()
+    for token, n in Counter(chain.from_iterable(doc.tokens)).items():
+        root = stems.get(token)
+        if root is None:
+            root = stems[token] = stem(token)
+        counts[root] += n
+    return counts
 
 
-def bow_coverage(doc: LyricDoc, track: TrackBow, vocab: VocabTable) -> float:
+def bow_coverage(
+    doc: LyricDoc, track: TrackBow, vocab: VocabTable,
+    stems: dict[str, str] | None = None,
+) -> float:
     """Fraction of the track's vocabulary found among stemmed doc tokens."""
-    stems = set(_doc_stem_counts(doc))
+    doc_stems = _doc_stem_counts(doc, stems)
     words = [vocab.word(index) for index in track.counts]
-    covered = sum(1 for w in words if w in stems)
+    covered = sum(1 for w in words if w in doc_stems)
     return covered / len(words)
 
 
@@ -147,13 +172,16 @@ def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / (var_x * var_y) ** 0.5
 
 
-def frequency_fidelity(doc: LyricDoc, track: TrackBow, vocab: VocabTable) -> float:
+def frequency_fidelity(
+    doc: LyricDoc, track: TrackBow, vocab: VocabTable,
+    stems: dict[str, str] | None = None,
+) -> float:
     """Spearman correlation of BoW counts vs stemmed-token counts.
 
     Computed over the vocabulary words that actually occur in the doc;
     fewer than two such words leaves the correlation undefined.
     """
-    doc_counts = _doc_stem_counts(doc)
+    doc_counts = _doc_stem_counts(doc, stems)
     bow_counts: list[float] = []
     text_counts: list[float] = []
     for index, count in track.counts.items():

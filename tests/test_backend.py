@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -19,6 +21,7 @@ from lyrecon.backend import (
 )
 from lyrecon.bow import TrackBow, VocabTable
 from lyrecon.evaluation import bow_coverage
+from lyrecon.pipeline import CorpusEntry
 from lyrecon.prompt import Prompt, PromptFields
 
 
@@ -282,6 +285,45 @@ def test_unreadable_cache_entry_is_a_miss_and_replaced(tmp_path, damage):
     assert again.cached is False
     assert again == first
     assert stored.read_bytes() == original
+
+
+def test_concurrent_puts_of_one_digest_leave_a_whole_entry(tmp_path):
+    cache = LyricsCache(tmp_path / "cache")
+    writers, rounds = 8, 40
+    barrier = threading.Barrier(writers, timeout=30)
+    errors: list[BaseException] = []
+
+    def writer(i: int) -> None:
+        try:
+            for r in range(rounds):
+                digest = f"{r:064x}"
+                barrier.wait()
+                # lengths differ, so a temp file two writers share would tear
+                cache.put(CorpusEntry(
+                    track_id=f"T{i}", prompt_digest=digest, model="m",
+                    created_at="2024-01-01T00:00:00+00:00",
+                    lyrics=f"line {i}\n" * (1 + 50 * i),
+                ))
+                assert cache.get(digest) is not None
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for r in range(rounds):
+        assert cache.get(f"{r:064x}") is not None
+    assert list((tmp_path / "cache").rglob("*.tmp.*")) == []
 
 
 # --- endpoint and transport errors ------------------------------------------

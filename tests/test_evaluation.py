@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import ABSTRACT_WORDS, CONCRETE_WORDS
+from lyrecon import evaluation, porter
 from lyrecon.analysis import Lexicon, segment
 from lyrecon.bow import TrackBow, VocabTable
 from lyrecon.evaluation import (
@@ -125,6 +128,32 @@ def test_union_gram_count_bounds(left_texts, right_texts):
         assert max(lv, rv) <= uv <= lv + rv
 
 
+# Raw lyric text as it arrives: lexicon and other words in mixed case,
+# repeats, punctuation, runs of blank or whitespace-only lines, LF and CRLF.
+_word = st.sampled_from(
+    [*ABSTRACT_WORDS, *CONCRETE_WORDS, "Dream", "STONE", "love", "night", "run", "river,"]
+)
+_words_line = st.tuples(st.lists(_word, min_size=1, max_size=6),
+                        st.sampled_from([" ", "  ", "\t"])).map(lambda t: t[1].join(t[0]))
+_raw_line = st.one_of(_words_line, st.sampled_from(["", " ", "\t  "]))
+_raw_text = st.lists(
+    st.tuples(_raw_line, st.sampled_from(["\n", "\r\n"])), max_size=12
+).map(lambda parts: "".join(line + end for line, end in parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_text, min_size=1, max_size=6))
+def test_streamed_corpus_stats_equal_oracle_exactly(texts):
+    stats = corpus_stats((segment(t) for t in texts), ABSTRACT, CONCRETE)
+    oracle = naive_stats(texts, set(ABSTRACT_WORDS), set(CONCRETE_WORDS))
+    assert dataclasses.asdict(stats) == oracle
+
+
+def test_empty_stream_rejected():
+    with pytest.raises(EmptyCorpus):
+        corpus_stats((segment(t) for t in ()), ABSTRACT, CONCRETE)
+
+
 # --- bow fidelity -----------------------------------------------------------
 
 VOCAB = VocabTable(words=("night", "fire", "stone", "glass"))
@@ -184,6 +213,39 @@ def test_fidelity_constant_ranks_undefined():
     track = TrackBow(track_id="T", source_id="", counts={1: 2, 2: 2})
     with pytest.raises(InsufficientOverlap):
         frequency_fidelity(segment("night fire"), track, VOCAB)
+
+
+def test_each_token_type_is_stemmed_once(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counting_stem(word):
+        calls[word] += 1
+        return porter.stem(word)
+
+    monkeypatch.setattr(evaluation, "stem", counting_stem)
+    docs = [segment("night night fire\nnight stone"),
+            segment("fire fire night\n\nglass night stone")]
+    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
+    stems: dict[str, str] = {}
+    for doc in docs:
+        bow_coverage(doc, track, VOCAB, stems)
+        frequency_fidelity(doc, track, VOCAB, stems)
+    assert calls == Counter({"night": 1, "fire": 1, "stone": 1, "glass": 1})
+
+
+def test_memoised_stems_match_porter_on_rule_words():
+    doc = segment("running runs run\ncaresses caress\nhappiness\n"
+                  "relational relational relational relational")
+    assert Counter(porter.stem(t) for t in doc.token_stream()) == Counter(
+        {"run": 3, "caress": 2, "happi": 1, "relat": 4})
+    vocab = VocabTable(words=("run", "caress", "happi", "relat"))
+    # BoW ranks (4, 3, 1, 2) against text ranks (3, 2, 1, 4): rho = 1 - 6*6/60
+    track = TrackBow(track_id="T", source_id="", counts={1: 4, 2: 3, 3: 1, 4: 2})
+    stems: dict[str, str] = {}
+    for _ in range(2):  # the second pass reads every stem from the memo
+        assert bow_coverage(doc, track, vocab, stems) == 1.0
+        assert frequency_fidelity(doc, track, vocab, stems) == pytest.approx(0.4, abs=1e-12)
+    assert stems == {t: porter.stem(t) for t in doc.token_stream()}
 
 
 # --- compare / render -------------------------------------------------------

@@ -418,6 +418,29 @@ def test_evaluate_self_comparison_zero_deltas(tmp_path):
     assert text[0].split()[:1] == ["Item"]
 
 
+def test_evaluate_modes_share_an_out_dir_without_stale_files(tmp_path):
+    records = _join(tmp_path, 12, seed=6)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    bow = tmp_path / "data" / "bow.txt"
+    full = {"stats.json", "stats_reference.json", "report.txt", "report.tsv",
+            "fidelity.tsv", "fidelity_summary.json"}
+    code, out_dir = _evaluate(tmp_path, out, bow=bow, reference=out)
+    assert code == 0
+    assert {p.name for p in out_dir.iterdir()} == full
+    code, out_dir = _evaluate(tmp_path, out)
+    assert code == 0
+    assert {p.name for p in out_dir.iterdir()} == {"stats.json", "report.txt"}
+    code, out_dir = _evaluate(tmp_path, out, reference=out)
+    assert code == 0
+    assert {p.name for p in out_dir.iterdir()} == {
+        "stats.json", "stats_reference.json", "report.txt", "report.tsv"}
+    code, out_dir = _evaluate(tmp_path, out, bow=bow)
+    assert code == 0
+    assert {p.name for p in out_dir.iterdir()} == {
+        "stats.json", "report.txt", "fidelity.tsv", "fidelity_summary.json"}
+
+
 def test_evaluate_malformed_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     entry = CorpusEntry("T", "d" * 64, "m", "2024-01-01T00:00:00+00:00", "la la")
