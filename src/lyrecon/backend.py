@@ -25,11 +25,12 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
 import requests
@@ -60,6 +61,11 @@ API_KEY_ENV = "LYRECON_API_KEY"
 MOCK_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
 _RETRYABLE_STATUS = {429}
+
+# run_batch keeps at most this many submitted, not yet emitted prompts per
+# worker: enough that a slow head of the queue (a retry's backoff) leaves
+# the other workers something to do, and still a fixed amount of memory
+_WINDOW_PER_WORKER = 64
 
 # model used when the config names none, per backend kind
 DEFAULT_MODELS = {"mock": "mock-lyricist", "live": "gpt-4o"}
@@ -334,28 +340,43 @@ class BatchItem:
 
 
 def run_batch(
-    prompts: Sequence[Prompt],
+    prompts: Iterable[Prompt],
     config: BackendConfig,
     cache: LyricsCache | None,
     on_item: Callable[[BatchItem], None] | None = None,
 ) -> list[BatchItem]:
     """Generate a batch with at most ``max_in_flight`` concurrent requests.
 
-    Items are yielded to ``on_item`` in prompt order regardless of
-    completion order, so callers can stream results to disk and still get
-    deterministic files. Per-track failures become failed items; they do
-    not abort the batch. A missing credential aborts before any work.
+    ``prompts`` is read once, as it is needed: at most 64 prompts per
+    worker are submitted and not yet emitted at any time, so memory does
+    not grow with the batch. Items are handed to ``on_item`` in prompt
+    order regardless of completion order, so callers can stream results
+    to disk and still get deterministic files; an item handed over is not
+    kept, and the returned list holds the items only when ``on_item`` is
+    None. Per-track failures become failed items; they do not abort the
+    batch. A missing credential aborts before any work.
     """
     require_credential(config)
     items: list[BatchItem] = []
+    emit = items.append if on_item is None else on_item
+    window = _WINDOW_PER_WORKER * config.max_in_flight
+    submitted: deque[tuple[str, Future]] = deque()
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        futures = [pool.submit(generate, p, config, cache) for p in prompts]
-        for prompt_obj, future in zip(prompts, futures):
-            try:
-                item = BatchItem(prompt_obj.track_id, future.result(), None)
-            except LyreconError as exc:
-                item = BatchItem(prompt_obj.track_id, None, f"{type(exc).__name__}: {exc}")
-            items.append(item)
-            if on_item is not None:
-                on_item(item)
+        for prompt_obj in prompts:
+            future = pool.submit(generate, prompt_obj, config, cache)
+            submitted.append((prompt_obj.track_id, future))
+            if len(submitted) == window:
+                # drain to half a window, then refill: workers get prompts
+                # in bursts instead of being woken once per prompt
+                while len(submitted) > window // 2:
+                    emit(_settle(*submitted.popleft()))
+        while submitted:
+            emit(_settle(*submitted.popleft()))
     return items
+
+
+def _settle(track_id: str, future: Future) -> BatchItem:
+    try:
+        return BatchItem(track_id, future.result(), None)
+    except LyreconError as exc:
+        return BatchItem(track_id, None, f"{type(exc).__name__}: {exc}")

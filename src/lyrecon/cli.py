@@ -127,6 +127,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         config, settings = _build_backend_config(args)
     except (ValueError, TypeError, OSError) as exc:
         return _fail(f"bad configuration: {exc}")
+    cap = settings.get("max_vocabulary_words")
+    # prompts are built during the run, so a cap that empties them fails here
+    if cap is not None and not (isinstance(cap, int) and cap >= 1):
+        return _fail(
+            f"bad configuration: max_vocabulary_words must be >= 1, got {cap!r}"
+        )
     try:
         be.require_credential(config)  # before any state is created
     except be.AuthMissing as exc:
@@ -140,7 +146,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     manifest_path = Path(str(out) + ".manifest")
-    cap = settings.get("max_vocabulary_words")
     # the vocabulary cap changes prompt text, so it is part of run identity
     config_digest = hashlib.sha256(
         f"{config.digest()}:cap={cap}".encode("utf-8")
@@ -149,7 +154,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     try:
         if manifest_path.exists():
             manifest = RunManifest.load(manifest_path, config_digest, records_digest)
-            entries = recover_corpus_file(out)
+            # the recovered track ids, in file order
+            present = dict.fromkeys(e.track_id for e in recover_corpus_file(out))
         else:
             if out.exists() and out.stat().st_size > 0:
                 return _fail(
@@ -158,21 +164,21 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             manifest = RunManifest.create(
                 manifest_path, config_digest, records_digest, len(records)
             )
-            entries = []
+            present = {}
     except (LyreconError, OSError) as exc:
         return _fail(str(exc))
 
     record_ids = [r.track_id for r in records]
     known = set(record_ids)
-    stray = [e.track_id for e in entries if e.track_id not in known]
+    stray = [track_id for track_id in present if track_id not in known]
     if stray:
         return _fail(f"{out}: holds track(s) not in the records file: {stray[:3]}")
-    present = {e.track_id for e in entries}
-    pending = [r for r in records if r.track_id not in present]
+    pending = len(records) - len(present)
 
     cache_dir = settings.get("cache_dir") or str(out) + ".cache"
     cache = be.LyricsCache(cache_dir)
-    prompts = [build_prompt(r, cap) for r in pending]
+    # built one at a time as run_batch's window takes them
+    prompts = (build_prompt(r, cap) for r in records if r.track_id not in present)
 
     failed: list[be.BatchItem] = []
     with manifest:
@@ -195,8 +201,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     counts = manifest.counts()
     print(
-        f"reconstructed {len(pending) - len(failed)} track(s), "
-        f"{len(records) - len(pending)} already done, {len(failed)} failed"
+        f"reconstructed {pending - len(failed)} track(s), "
+        f"{len(present)} already done, {len(failed)} failed"
     )
     if failed:
         for item in failed:

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -64,7 +65,11 @@ class ManifestMismatch(LyreconError):
 
 
 def file_digest(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # --- records file -----------------------------------------------------------
@@ -84,20 +89,28 @@ def record_to_dict(record: ReconstructionRecord) -> dict:
 
 
 def _record_from_dict(data: dict, line_no: int) -> ReconstructionRecord:
+    # tags, mood labels and vocabulary words repeat across tracks: interned,
+    # every record shares one copy of each. sys.intern takes only str, so a
+    # value that is not a JSON string makes a bad record.
     try:
         point = MoodPoint(valence=float(data["valence"]), arousal=float(data["arousal"]))
         record = ReconstructionRecord(
             track_id=str(data["track_id"]),
             artist=str(data["artist"]),
             title=str(data["title"]),
-            tags=tuple(str(t) for t in data["tags"]),
+            tags=tuple(map(sys.intern, data["tags"])),
             mood=point,
             theta=float(data["theta"]),
-            mood_label=str(data["mood_label"]),
-            vocabulary=tuple(str(w) for w in data["vocabulary"]),
+            mood_label=sys.intern(data["mood_label"]),
+            vocabulary=tuple(map(sys.intern, data["vocabulary"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise RecordsFormatError(f"bad record object: {exc}", line_no) from exc
+    if not record.tags or not record.vocabulary:
+        raise RecordsFormatError(
+            f"track {record.track_id}: needs genre tags and vocabulary words",
+            line_no,
+        )
     if not math.isclose(record.theta, mood_angle(point), abs_tol=1e-9):
         raise RecordsFormatError(
             f"track {record.track_id}: stored theta does not match valence/arousal",
@@ -193,31 +206,29 @@ def read_corpus(path: Path | str) -> list[CorpusEntry]:
 def recover_corpus_file(path: Path) -> list[CorpusEntry]:
     """Read a possibly crash-truncated corpus file for resumption.
 
-    Only the final line can be a partial write; if it fails to parse it is
-    dropped and the file rewritten without it. A malformed line anywhere
-    else is real corruption and raises.
+    Only the final line can be a partial write; if it lacks its newline or
+    fails to parse, the file is cut back to the end of the line before it.
+    A malformed line anywhere else is real corruption and raises.
     """
     if not path.exists():
         return []
-    raw_lines = path.read_text(encoding="utf-8").splitlines()
     entries: list[CorpusEntry] = []
-    for i, line in enumerate(raw_lines):
-        if not line.strip():
-            continue
-        try:
-            entries.append(parse_entry(line, i + 1))
-        except CorpusFormatError:
-            if i == len(raw_lines) - 1:
-                _atomic_write(path, "".join(l + "\n" for l in raw_lines[:i]))
-                return entries
-            raise
+    whole = 0  # bytes up to the end of the last whole line
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                break  # a partial write: the final line
+            if line.strip():
+                try:
+                    entries.append(parse_entry(line, line_no))
+                except CorpusFormatError:
+                    if fh.read(1):
+                        raise
+                    break
+            whole += len(line)
+    if whole < path.stat().st_size:
+        os.truncate(path, whole)
     return entries
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> bool:
@@ -225,16 +236,26 @@ def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> bool:
 
     Used after a fully successful run: resumed retries may have appended
     out of record order, and a canonical file must not depend on failure
-    history.
+    history. Only track ids and line offsets are held, and lines are read
+    back one at a time, so memory does not grow with the lyrics.
     """
-    entries = read_corpus(path)
     index = {track_id: i for i, track_id in enumerate(order)}
-    current = [e.track_id for e in entries]
-    target = sorted(current, key=lambda tid: index[tid])
-    if current == target:
-        return False
-    by_id = {e.track_id: e for e in entries}
-    _atomic_write(path, "".join(corpus_entry_line(by_id[t]) + "\n" for t in target))
+    placed = []  # (position in order, byte offset) per corpus line
+    with open(path, "rb") as fh:
+        offset = 0
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                placed.append((index[parse_entry(line, line_no).track_id], offset))
+            offset += len(line)
+        if all(a[0] <= b[0] for a, b in zip(placed, placed[1:])):
+            return False
+        placed.sort()
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as out:
+            for _, offset in placed:
+                fh.seek(offset)
+                out.write(corpus_entry_line(parse_entry(fh.readline())) + "\n")
+    os.replace(tmp, path)
     return True
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
+import lyrecon.backend as backend_module
 from fakeserver import FakeChatServer
 from lyrecon.analysis import segment
 from lyrecon.backend import (
@@ -257,6 +259,50 @@ def test_batch_auth_checked_before_any_work(monkeypatch):
         with pytest.raises(AuthMissing):
             run_batch([_prompt()], _live_config(server), None)
         assert server.request_count == 0
+
+
+def _mock_prompts(n: int):
+    """A one-shot generator of ``n`` distinct mock prompts."""
+    return (_prompt(track_id=f"T{i}", vocabulary=f"love, word{i}") for i in range(n))
+
+
+def test_batch_reads_prompts_once_within_a_fixed_window():
+    config = BackendConfig(kind="mock", max_in_flight=2)
+    window = backend_module._WINDOW_PER_WORKER * config.max_in_flight
+    handed_out = 0
+
+    def counted(prompts):
+        nonlocal handed_out
+        for prompt in prompts:
+            handed_out += 1
+            yield prompt
+
+    n = 10 * window
+    emitted: list[str] = []
+
+    def on_item(item):
+        assert handed_out - len(emitted) <= window
+        assert item.ok
+        emitted.append(item.track_id)
+
+    items = run_batch(counted(_mock_prompts(n)), config, None, on_item=on_item)
+    assert emitted == [f"T{i}" for i in range(n)]
+    assert items == []
+
+
+def test_batch_memory_does_not_grow_with_batch_size():
+    config = BackendConfig(kind="mock", max_in_flight=2)
+
+    def peak_bytes(n: int) -> int:
+        tracemalloc.start()
+        try:
+            run_batch(_mock_prompts(n), config, None, on_item=lambda item: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak_bytes(400)
+    assert peak_bytes(4000) <= 1.5 * small
 
 
 # --- unreadable cache entries -----------------------------------------------

@@ -98,6 +98,28 @@ def test_recover_drops_torn_tail(tmp_path):
     assert path.read_text(encoding="utf-8") == good
 
 
+def test_recover_drops_last_line_cut_before_its_newline(tmp_path):
+    # the line parses, but a resume appending after it would glue two lines
+    path = tmp_path / "corpus.jsonl"
+    first = CorpusEntry("T", "d" * 64, "m", "2024-01-01T00:00:00+00:00", "la")
+    second = CorpusEntry("U", "e" * 64, "m", "2024-01-01T00:00:00+00:00", "lo")
+    good = corpus_entry_line(first) + "\n"
+    path.write_text(good + corpus_entry_line(second), encoding="utf-8")
+    assert [e.track_id for e in recover_corpus_file(path)] == ["T"]
+    assert path.read_text(encoding="utf-8") == good
+
+
+def test_recover_splits_lines_on_newlines_only(tmp_path):
+    # JSON leaves U+2028 and U+0085 unescaped; they are not line breaks here
+    path = tmp_path / "corpus.jsonl"
+    entry = CorpusEntry("T", "d" * 64, "m", "2024-01-01T00:00:00+00:00",
+                        "one\u2028two\x85three")
+    good = corpus_entry_line(entry) + "\n"
+    path.write_text(good + '{"track_id": "half', encoding="utf-8")
+    assert recover_corpus_file(path) == [entry]
+    assert path.read_text(encoding="utf-8") == good
+
+
 # --- join command -----------------------------------------------------------
 
 def test_join_reports_and_writes_sorted_records(tmp_path, capsys):
@@ -235,6 +257,41 @@ def test_reconstruct_vocabulary_cap_changes_run_identity(tmp_path):
     assert _reconstruct_mock(records, out) == 0
     # a different prompt-vocabulary cap must not resume into the same corpus
     assert _reconstruct_mock(records, out, ["--max-vocabulary-words", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: json.dumps(data)[:-5],
+        lambda data: json.dumps({**data, "theta": data["theta"] + 0.5}),
+        lambda data: json.dumps({**data, "tags": []}),
+        lambda data: json.dumps({**data, "vocabulary": [*data["vocabulary"], 7]}),
+    ],
+    ids=["bad-json", "tampered-theta", "no-tags", "number-word"],
+)
+def test_reconstruct_rejects_late_bad_record_before_any_state(tmp_path, capsys, damage):
+    records = _join(tmp_path, 20, seed=4)
+    lines = records.read_text(encoding="utf-8").splitlines()
+    lines[-1] = damage(json.loads(lines[-1]))
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    capsys.readouterr()
+    assert _reconstruct_mock(records, out) == 2
+    assert f"line {len(lines)}:" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_reconstruct_rejects_vocabulary_cap_below_one_before_any_state(
+    tmp_path, capsys, cap
+):
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out, ["--max-vocabulary-words", cap]) == 2
+    assert "max_vocabulary_words must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest").exists()
 
 
 def test_reconstruct_adopts_orphan_output_line(tmp_path):
