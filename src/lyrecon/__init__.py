@@ -20,7 +20,7 @@ from lyrecon.metadata import (
     TrackMeta,
     join_records,
     parse_genre_table,
-    parse_mood_table,
+    parse_mood_csv,
     parse_track_meta,
 )
 from lyrecon.mood import MoodPoint, MoodTable, default_mood_table, load_mood_table, mood_angle, mood_label, validate_mood_table

@@ -21,14 +21,15 @@ from lyrecon import backend as be
 from lyrecon import evaluation as ev
 from lyrecon import metadata as md
 from lyrecon import mood as mood_mod
-from lyrecon.analysis import load_lexicon, segment
-from lyrecon.bow import load_bow
+from lyrecon.analysis import LyricDoc, load_lexicon, segment
+from lyrecon.bow import BowCorpus, load_bow
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
     RunManifest,
     corpus_entry_line,
     file_digest,
-    read_corpus,
+    iter_corpus,
+    read_corpus,  # not called here; bench/layertrace.py wraps it by name
     read_records,
     recover_corpus_file,
     rewrite_corpus_in_order,
@@ -59,7 +60,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     stages = [
         ("bow", args.bow, lambda fh: load_bow(fh)),
         ("mood", args.mood,
-         lambda fh: md.parse_mood_table(fh, md.ColumnMap.parse(args.mood_columns))),
+         lambda fh: md.parse_mood_csv(fh, md.ColumnMap.parse(args.mood_columns))),
         ("genres", args.genres, lambda fh: md.parse_genre_table(fh)),
         ("meta", args.meta,
          lambda fh: md.parse_track_meta(fh, md.ColumnMap.parse(args.meta_columns))),
@@ -220,10 +221,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 # --- evaluate ---------------------------------------------------------------
 
-def _write_stats_json(stats: ev.CorpusStats, path: Path) -> None:
-    path.write_text(
-        json.dumps(dataclasses.asdict(stats), indent=2) + "\n", encoding="utf-8"
-    )
+def _stats_json(stats: ev.CorpusStats) -> str:
+    return json.dumps(dataclasses.asdict(stats), indent=2) + "\n"
 
 
 def _read_stats_json(path: Path | str) -> ev.CorpusStats:
@@ -234,110 +233,149 @@ def _read_stats_json(path: Path | str) -> ev.CorpusStats:
     return ev.CorpusStats(**{k: data[k] for k in STATS_FIELDS})
 
 
-def _fidelity_report(entries, docs, bow_path: str, out_dir: Path) -> float:
-    with open(bow_path, encoding="utf-8") as fh:
-        corpus = load_bow(fh)
-    tracks = corpus.by_track_id()
-    stems: dict[str, str] = {}  # each token type is stemmed once per run
-    rows = []
-    coverages = []
-    correlations = []
-    for entry, doc in zip(entries, docs):
-        track = tracks.get(entry.track_id)
+class _FidelityTable:
+    """Coverage and rank correlation of each corpus track found in a BoW file,
+    scored as the corpus streams past."""
+
+    def __init__(self, corpus: BowCorpus) -> None:
+        self.vocab = corpus.vocab
+        self.tracks = corpus.by_track_id()
+        self.stems: dict[str, str] = {}  # each token type is stemmed once per run
+        self.rows: list[str] = []
+        self.coverages: list[float] = []
+        self.correlations: list[float] = []
+
+    def score(self, track_id: str, doc: LyricDoc) -> None:
+        track = self.tracks.get(track_id)
         if track is None:
-            continue
-        coverage = ev.bow_coverage(doc, track, corpus.vocab, stems)
-        coverages.append(coverage)
+            return
+        coverage = ev.bow_coverage(doc, track, self.vocab, self.stems)
+        self.coverages.append(coverage)
         try:
-            rho = ev.frequency_fidelity(doc, track, corpus.vocab, stems)
-            correlations.append(rho)
+            rho = ev.frequency_fidelity(doc, track, self.vocab, self.stems)
+            self.correlations.append(rho)
             rho_text = f"{rho:.6f}"
         except ev.InsufficientOverlap:
             rho_text = "n/a"
-        rows.append(f"{entry.track_id}\t{coverage:.6f}\t{rho_text}")
-    if not coverages:
-        raise LyreconError(f"{bow_path}: no corpus track matches the BoW file")
-    (out_dir / "fidelity.tsv").write_text(
-        "track_id\tcoverage\trank_correlation\n" + "\n".join(rows) + "\n",
-        encoding="utf-8",
-    )
-    mean_coverage = sum(coverages) / len(coverages)
-    summary = {
-        "tracks_scored": len(coverages),
-        "mean_coverage": mean_coverage,
-        "rank_correlation_scored": len(correlations),
-        "mean_rank_correlation": (
-            statistics.mean(correlations) if correlations else None
-        ),
+        self.rows.append(f"{track_id}\t{coverage:.6f}\t{rho_text}")
+
+    def outputs(self) -> tuple[dict[str, str], float]:
+        """fidelity.tsv and fidelity_summary.json, and the mean coverage."""
+        if not self.coverages:
+            raise LyreconError("no corpus track matches the BoW file")
+        mean_coverage = sum(self.coverages) / len(self.coverages)
+        summary = {
+            "tracks_scored": len(self.coverages),
+            "mean_coverage": mean_coverage,
+            "rank_correlation_scored": len(self.correlations),
+            "mean_rank_correlation": (
+                statistics.mean(self.correlations) if self.correlations else None
+            ),
+        }
+        return {
+            "fidelity.tsv": "track_id\tcoverage\trank_correlation\n"
+                            + "\n".join(self.rows) + "\n",
+            "fidelity_summary.json": json.dumps(summary, indent=2) + "\n",
+        }, mean_coverage
+
+
+def _segmented(path: str, score=None) -> typing.Iterator[LyricDoc]:
+    """Each entry of a corpus file segmented, handed to ``score`` with its
+    track id, and dropped once the consumer takes the next."""
+    for entry in iter_corpus(path):
+        doc = segment(entry.lyrics)
+        if score is not None:
+            score(entry.track_id, doc)
+        yield doc
+
+
+def _comparison(report: ev.ComparisonReport, left_label: str,
+                right_label: str) -> dict[str, str]:
+    return {
+        "report.txt": ev.render_comparison_text(report, left_label, right_label),
+        "report.tsv": ev.render_comparison_tsv(report),
     }
-    (out_dir / "fidelity_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
-    return mean_coverage
 
 
-def _write_comparison(report: ev.ComparisonReport, left_label: str,
-                      right_label: str, out_dir: Path) -> str:
-    """Write report.txt and report.tsv; returns the text table."""
-    text = ev.render_comparison_text(report, left_label, right_label)
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
-    (out_dir / "report.tsv").write_text(
-        ev.render_comparison_tsv(report), encoding="utf-8"
-    )
-    return text
+def _write_outputs(out_dir: Path, outputs: dict[str, str],
+                   stale: typing.Iterable[str] = ()) -> None:
+    """Write every output, each encoded before the first is written."""
+    data = {name: text.encode("utf-8") for name, text in outputs.items()}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in stale:
+        if name not in data:
+            (out_dir / name).unlink(missing_ok=True)
+    for name, blob in data.items():
+        (out_dir / name).write_bytes(blob)
 
 
-# outputs written only with --reference, and only with --bow
-_REFERENCE_OUTPUTS = ("report.tsv", "stats_reference.json")
-_FIDELITY_OUTPUTS = ("fidelity.tsv", "fidelity_summary.json")
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8. A text stream decodes in
+    blocks and cannot tell the line, so the file is scanned again for it."""
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return f"{path}: line {line_no}: not UTF-8: {bad.reason}"
+    except OSError:
+        pass
+    return f"{path}: not UTF-8: {exc.reason}"
+
+
+# an earlier run in another mode must not leave its outputs behind
+_EVALUATE_OUTPUTS = ("stats.json", "stats_reference.json", "report.txt",
+                     "report.tsv", "fidelity.tsv", "fidelity_summary.json")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """One streamed pass over each corpus; outputs are written only once
+    every input has been read."""
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier run in another mode must not leave its outputs behind
-    stale = (() if args.reference else _REFERENCE_OUTPUTS) + (
-        () if args.bow else _FIDELITY_OUTPUTS
-    )
-    for name in stale:
-        (out_dir / name).unlink(missing_ok=True)
+    reading = args.abstract_lexicon  # the input an error is blamed on
     try:
-        abstract_lex = load_lexicon(args.abstract_lexicon, "abstract")
-        concrete_lex = load_lexicon(args.concrete_lexicon, "concrete")
-    except (LyreconError, OSError) as exc:
-        return _fail(str(exc))
-    try:
-        entries = read_corpus(args.corpus)
-        docs = [segment(e.lyrics) for e in entries]
-        stats = ev.corpus_stats(docs, abstract_lex, concrete_lex)
-    except (LyreconError, OSError) as exc:
-        return _fail(f"{args.corpus}: {exc}")
-    _write_stats_json(stats, out_dir / "stats.json")
-
-    if args.reference:
-        try:
-            # streamed: the reference docs are never all held at once
+        abstract_lex = load_lexicon(reading, "abstract")
+        reading = args.concrete_lexicon
+        concrete_lex = load_lexicon(reading, "concrete")
+        fidelity = None
+        if args.bow:
+            reading = args.bow
+            with open(reading, encoding="utf-8") as fh:
+                fidelity = _FidelityTable(load_bow(fh))
+        reading = args.corpus
+        stats = ev.corpus_stats(
+            _segmented(reading, fidelity.score if fidelity else None),
+            abstract_lex, concrete_lex,
+        )
+        outputs = {"stats.json": _stats_json(stats)}
+        if fidelity is not None:
+            reading = args.bow
+            fidelity_outputs, mean_coverage = fidelity.outputs()
+            outputs.update(fidelity_outputs)
+            fidelity = None  # the BoW is released before the reference is read
+        if args.reference:
+            reading = args.reference
             ref_stats = ev.corpus_stats(
-                (segment(e.lyrics) for e in read_corpus(args.reference)),
-                abstract_lex, concrete_lex,
+                _segmented(reading), abstract_lex, concrete_lex
             )
-        except (LyreconError, OSError) as exc:
-            return _fail(f"{args.reference}: {exc}")
-        _write_stats_json(ref_stats, out_dir / "stats_reference.json")
-        _write_comparison(
-            ev.compare(stats, ref_stats), args.label, args.reference_label, out_dir
-        )
-    else:
-        (out_dir / "report.txt").write_text(
-            ev.render_stats_text(stats, args.label), encoding="utf-8"
-        )
+            outputs["stats_reference.json"] = _stats_json(ref_stats)
+            outputs.update(_comparison(
+                ev.compare(stats, ref_stats), args.label, args.reference_label
+            ))
+        else:
+            outputs["report.txt"] = ev.render_stats_text(stats, args.label)
+        reading = args.out_dir
+        _write_outputs(out_dir, outputs, stale=_EVALUATE_OUTPUTS)
+    except UnicodeDecodeError as exc:
+        return _fail(_not_utf8(reading, exc))
+    except OSError as exc:
+        return _fail(f"{exc.filename or reading}: {exc.strerror or exc}")
+    except (LyreconError, UnicodeError) as exc:
+        return _fail(f"{reading}: {exc}")
 
     print(f"lyric sets: {stats.lyric_set_count}")
     if args.bow:
-        try:
-            mean_coverage = _fidelity_report(entries, docs, args.bow, out_dir)
-        except (LyreconError, OSError) as exc:
-            return _fail(str(exc))
         print(f"mean bow_coverage: {mean_coverage:.6f}")
     print(f"reports written to {out_dir}")
     return 0
@@ -349,14 +387,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         left = _read_stats_json(args.left)
         right = _read_stats_json(args.right)
+        outputs = _comparison(ev.compare(left, right), args.left_label, args.right_label)
+        _write_outputs(Path(args.out_dir), outputs)
     except (LyreconError, OSError, ValueError, TypeError) as exc:
         return _fail(str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = _write_comparison(
-        ev.compare(left, right), args.left_label, args.right_label, out_dir
-    )
-    print(text, end="")
+    print(outputs["report.txt"], end="")
     return 0
 
 

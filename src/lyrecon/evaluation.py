@@ -6,7 +6,9 @@ abstract/concrete lexicon ratios. N-gram sets follow the line-local window
 rule from :mod:`lyrecon.analysis`; the lexicon ratios pool every token in
 the corpus into one stream rather than averaging per set.
 :func:`corpus_stats` reads its docs in one pass, so a corpus can be streamed
-into it (``evaluate`` streams its reference corpus) instead of held whole.
+into it instead of held whole (``evaluate`` streams both corpora). Its
+bigram and trigram sets hold packed ``int``s, not tuples of ``str``: each
+token gets a per-corpus id, and an n-gram is its ids shifted together.
 
 Fidelity metrics tie generated text back to its BoW source: coverage is
 the fraction of a track's vocabulary whose words appear among the stemmed
@@ -14,7 +16,9 @@ document tokens, and frequency fidelity is the Spearman rank correlation
 (average ranks for ties) between BoW counts and stemmed-token counts over
 the covered intersection. Both take an optional ``stems`` dict that
 memoises token -> stem; ``evaluate`` passes one per run, so each distinct
-token type is stemmed once however many documents contain it.
+token type is stemmed once however many documents contain it. Coverage and
+fidelity of the same doc share one stemmed count, so a doc scored for both
+is counted once.
 """
 
 from __future__ import annotations
@@ -80,22 +84,39 @@ STAT_ROWS: tuple[tuple[str, str, bool], ...] = (
 )
 
 
+class _TokenIds(dict):
+    """token -> id, numbered from 0 in order of first sight."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = len(self)
+        return value
+
+
 def corpus_stats(
     docs: Iterable[LyricDoc], abstract_lex: Lexicon, concrete_lex: Lexicon
 ) -> CorpusStats:
-    """The nine-row statistics for one corpus of lyric sets, in one pass."""
+    """The nine-row statistics for one corpus of lyric sets, in one pass.
+
+    A bigram is stored as ``(a << 32) | b`` and a trigram as
+    ``(bigram << 32) | c`` over the tokens' ids. Python ints are unbounded,
+    so the packing is exact while every id is below 2**32, and 2**32 token
+    types would not fit in memory anyway.
+    """
     n = lines = sections = 0
     tokens: Counter[str] = Counter()
-    bigrams: set[tuple[str, str]] = set()
-    trigrams: set[tuple[str, str, str]] = set()
+    token_id = _TokenIds().__getitem__
+    bigrams: set[int] = set()
+    trigrams: set[int] = set()
     for doc in docs:
         n += 1
         lines += doc.line_count
         sections += doc.section_count
         tokens.update(chain.from_iterable(doc.tokens))
         for line in doc.tokens:
-            bigrams.update(zip(line, line[1:]))
-            trigrams.update(zip(line, line[1:], line[2:]))
+            ids = list(map(token_id, line))
+            pairs = [(a << 32) | b for a, b in zip(ids, ids[1:])]
+            bigrams.update(pairs)
+            trigrams.update([(ab << 32) | c for ab, c in zip(pairs, ids[2:])])
     if n == 0:
         raise EmptyCorpus("no lyric sets to evaluate")
     words = sum(tokens.values())
@@ -118,16 +139,25 @@ def corpus_stats(
     )
 
 
+# the doc counted last and its count: coverage and fidelity of one doc share
+# it. Keyed by identity (a LyricDoc hashes by content) and holding the doc,
+# so no other doc can match it, whichever caller came before.
+_last_count: tuple[LyricDoc | None, Counter[str]] = (None, Counter())
+
+
 def _doc_stem_counts(doc: LyricDoc, stems: dict[str, str] | None) -> Counter[str]:
     """Stemmed-token counts; ``stems`` memoises token -> stem across calls."""
+    global _last_count
+    last_doc, counts = _last_count
+    if doc is last_doc:
+        return counts
     if stems is None:
         stems = {}
-    counts: Counter[str] = Counter()
-    for token, n in Counter(chain.from_iterable(doc.tokens)).items():
-        root = stems.get(token)
-        if root is None:
-            root = stems[token] = stem(token)
-        counts[root] += n
+    tokens = list(chain.from_iterable(doc.tokens))
+    for token in set(tokens).difference(stems):
+        stems[token] = stem(token)
+    counts = Counter(map(stems.__getitem__, tokens))
+    _last_count = (doc, counts)
     return counts
 
 
@@ -137,14 +167,15 @@ def bow_coverage(
 ) -> float:
     """Fraction of the track's vocabulary found among stemmed doc tokens."""
     doc_stems = _doc_stem_counts(doc, stems)
-    words = [vocab.word(index) for index in track.counts]
-    covered = sum(1 for w in words if w in doc_stems)
-    return covered / len(words)
+    # indexed directly: every index was range-checked when the BoW was parsed
+    words = vocab.words
+    covered = sum(1 for index in track.counts if words[index - 1] in doc_stems)
+    return covered / len(track.counts)
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks, ties averaged."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
@@ -184,8 +215,9 @@ def frequency_fidelity(
     doc_counts = _doc_stem_counts(doc, stems)
     bow_counts: list[float] = []
     text_counts: list[float] = []
+    words = vocab.words
     for index, count in track.counts.items():
-        word = vocab.word(index)
+        word = words[index - 1]
         if doc_counts[word] > 0:
             bow_counts.append(float(count))
             text_counts.append(float(doc_counts[word]))

@@ -41,7 +41,7 @@ __all__ = [
     "ZeroMoodVector",
     "join_records",
     "parse_genre_table",
-    "parse_mood_table",
+    "parse_mood_csv",
     "parse_track_meta",
 ]
 
@@ -161,7 +161,7 @@ def _dict_reader(stream: Iterable[str] | IO[str], columns: ColumnMap,
     return reader
 
 
-def parse_mood_table(
+def parse_mood_csv(
     stream: Iterable[str] | IO[str],
     columns: ColumnMap = MOOD_COLUMNS,
     delimiter: str = ",",
@@ -192,6 +192,10 @@ def parse_mood_table(
             )
         points[track_id] = MoodPoint(valence=valence, arousal=arousal)
     return points
+
+
+# not public: bench/layertrace.py wraps the CSV parser under its old name
+parse_mood_table = parse_mood_csv
 
 
 def parse_track_meta(

@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from lyrecon.errors import LineError, LyreconError
 from lyrecon.metadata import ReconstructionRecord
@@ -43,6 +43,7 @@ __all__ = [
     "RunManifest",
     "corpus_entry_line",
     "file_digest",
+    "iter_corpus",
     "parse_entry",
     "read_corpus",
     "read_records",
@@ -193,14 +194,16 @@ def parse_entry(text: str | bytes, line_no: int | None = None) -> CorpusEntry:
     return entry
 
 
-def read_corpus(path: Path | str) -> list[CorpusEntry]:
-    entries = []
+def iter_corpus(path: Path | str) -> Iterator[CorpusEntry]:
+    """The file's entries, parsed one line at a time as they are taken."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            entries.append(parse_entry(line, line_no))
-    return entries
+            if line.strip():
+                yield parse_entry(line, line_no)
+
+
+def read_corpus(path: Path | str) -> list[CorpusEntry]:
+    return list(iter_corpus(path))
 
 
 def recover_corpus_file(path: Path) -> list[CorpusEntry]:
@@ -300,7 +303,7 @@ class RunManifest:
             header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
             raise ManifestMismatch(f"{path}: unreadable header: {exc}") from exc
-        if header.get("kind") != "run":
+        if not isinstance(header, dict) or header.get("kind") != "run":
             raise ManifestMismatch(f"{path}: first line is not a run header")
         if header.get("config_digest") != config_digest:
             raise ManifestMismatch(
@@ -319,11 +322,12 @@ class RunManifest:
                 event = json.loads(raw)
             except json.JSONDecodeError:
                 continue  # torn tail line from a crash; state before it is intact
-            if event.get("kind") != "status":
+            # an event of the wrong shape is skipped like a torn one
+            if not isinstance(event, dict) or event.get("kind") != "status":
                 continue
             track_id = event.get("track_id")
             status = event.get("status")
-            if not track_id or status not in ("done", "failed"):
+            if not (track_id and isinstance(track_id, str)) or status not in ("done", "failed"):
                 continue
             manifest.status[track_id] = status
             if status == "failed":

@@ -233,6 +233,24 @@ def test_each_token_type_is_stemmed_once(monkeypatch):
     assert calls == Counter({"night": 1, "fire": 1, "stone": 1, "glass": 1})
 
 
+def test_coverage_and_fidelity_of_a_doc_share_one_stem_count(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counting_stem(word):
+        calls[word] += 1
+        return porter.stem(word)
+
+    monkeypatch.setattr(evaluation, "stem", counting_stem)
+    docs = [segment("night night fire\nnight stone"),
+            segment("fire fire night\n\nglass night stone")]
+    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
+    for doc in docs:
+        # no memo: a count stems each of the doc's token types once
+        bow_coverage(doc, track, VOCAB)
+        frequency_fidelity(doc, track, VOCAB)
+    assert calls == Counter({"night": 2, "fire": 2, "stone": 2, "glass": 1})
+
+
 def test_memoised_stems_match_porter_on_rule_words():
     doc = segment("running runs run\ncaresses caress\nhappiness\n"
                   "relational relational relational relational")

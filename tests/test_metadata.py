@@ -19,7 +19,7 @@ from lyrecon.metadata import (
     ZeroMoodVector,
     join_records,
     parse_genre_table,
-    parse_mood_table,
+    parse_mood_csv,
     parse_track_meta,
 )
 from lyrecon.mood import default_mood_table, mood_angle
@@ -29,7 +29,7 @@ META_HEADER = "track_id,artist,title\n"
 
 
 def _mood(text):
-    return parse_mood_table(io.StringIO(text))
+    return parse_mood_csv(io.StringIO(text))
 
 
 def _meta(text):
@@ -76,7 +76,7 @@ def test_mood_missing_column():
 
 def test_mood_custom_columns_and_delimiter():
     columns = ColumnMap.parse("dzr_id, val, aro")
-    points = parse_mood_table(
+    points = parse_mood_csv(
         io.StringIO("dzr_id;val;aro;extra\nT9;0.5;-0.25;x\n"),
         columns,
         delimiter=";",
@@ -176,7 +176,7 @@ def test_join_record_fields_recomputable(tmp_path):
     with open(paths["bow"], encoding="utf-8") as fh:
         bow = load_bow(fh)
     with open(paths["mood"], encoding="utf-8", newline="") as fh:
-        mood = parse_mood_table(fh)
+        mood = parse_mood_csv(fh)
     with open(paths["genres"], encoding="utf-8") as fh:
         genres = parse_genre_table(fh)
     with open(paths["meta"], encoding="utf-8", newline="") as fh:
@@ -219,14 +219,14 @@ def test_join_order_insensitive(tmp_path):
 
     base, _ = join_records(
         bow,
-        parse_mood_table(io.StringIO("\n".join(mood_lines) + "\n")),
+        parse_mood_csv(io.StringIO("\n".join(mood_lines) + "\n")),
         parse_genre_table(io.StringIO("\n".join(genre_lines) + "\n")),
         meta,
         table,
     )
     shuffled, _ = join_records(
         bow,
-        parse_mood_table(io.StringIO("\n".join(shuffled_mood) + "\n")),
+        parse_mood_csv(io.StringIO("\n".join(shuffled_mood) + "\n")),
         parse_genre_table(io.StringIO("\n".join(shuffled_genres) + "\n")),
         meta,
         table,

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from fakeserver import FakeChatServer
-from fixtures import write_aligned_fixtures, write_lexicons
+from fixtures import FIXTURE_WORDS, write_aligned_fixtures, write_lexicons
 from lyrecon import backend as be
 from lyrecon import cli
 from lyrecon.metadata import ReconstructionRecord
@@ -325,6 +326,30 @@ def test_reconstruct_manifest_config_mismatch(tmp_path):
     assert code == 2
 
 
+def test_reconstruct_skips_manifest_events_that_are_not_objects(tmp_path):
+    records = _join(tmp_path, 5, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    reference = out.read_bytes()
+    manifest_path = Path(str(out) + ".manifest")
+    with open(manifest_path, "a", encoding="utf-8") as fh:
+        fh.write('[1,2]\n"done"\n{"kind": "status", "track_id": [1], "status": "done"}\n')
+    assert _reconstruct_mock(records, out) == 0
+    assert out.read_bytes() == reference
+
+
+def test_reconstruct_manifest_header_not_an_object_exits_2(tmp_path, capsys):
+    records = _join(tmp_path, 5, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    manifest_path = Path(str(out) + ".manifest")
+    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    manifest_path.write_text("\n".join(["[1,2]", *lines[1:]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _reconstruct_mock(records, out) == 2
+    assert "not a run header" in capsys.readouterr().err
+
+
 def test_reconstruct_config_file_and_flag_override(tmp_path):
     records = _join(tmp_path, 3, seed=2)
     config_path = tmp_path / "config.json"
@@ -505,6 +530,106 @@ def test_evaluate_malformed_corpus_exits_2(tmp_path, capsys):
     code, _ = _evaluate(tmp_path, corpus)
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def _replace_line(path: Path, line_no: int, text: bytes) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = text
+    path.write_bytes(b"".join(lines))
+
+
+# an evaluate input, and the line that gets bytes that are not UTF-8
+_NOT_UTF8_LINE = {"corpus": 2, "reference": 3, "abstract": 2, "concrete": 1, "bow": 4}
+
+
+def _damage(fault: str, paths: dict[str, Path]) -> str:
+    """Damage one evaluate input; returns how the error line must start."""
+    if fault in _NOT_UTF8_LINE:
+        line_no = _NOT_UTF8_LINE[fault]
+        _replace_line(paths[fault], line_no, b"caf\xe9 \xff\n")
+        return f"{paths[fault]}: line {line_no}: "
+    if fault == "bow-index-out-of-range":
+        line = paths["bow"].read_bytes().splitlines()[2]
+        _replace_line(paths["bow"], 3, line + b",999:1\n")
+        return f"{paths['bow']}: line 3: word index 999 outside 1.."
+    if fault == "missing-reference":
+        paths["reference"].unlink()
+        return f"{paths['reference']}: No such file or directory"
+    assert fault == "out-dir-is-a-file"
+    paths["out"].write_text("keep\n")
+    return f"{paths['out']}: File exists"
+
+
+@pytest.mark.parametrize("fault", [*_NOT_UTF8_LINE, "bow-index-out-of-range",
+                                   "missing-reference", "out-dir-is-a-file"])
+def test_evaluate_bad_input_exits_2_with_one_line_and_no_output(tmp_path, fault):
+    records = _join(tmp_path, 6, seed=3)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, corpus) == 0
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    paths = {
+        "corpus": corpus, "reference": tmp_path / "reference.jsonl",
+        "abstract": abstract, "concrete": concrete,
+        "bow": tmp_path / "data" / "bow.txt", "out": tmp_path / "eval",
+    }
+    paths["reference"].write_bytes(corpus.read_bytes())
+    expected = _damage(fault, paths)
+    src = Path(be.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyrecon.cli", "evaluate",
+         "--corpus", str(corpus), "--reference", str(paths["reference"]),
+         "--bow", str(paths["bow"]),
+         "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
+         "-o", str(paths["out"])],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"lyrecon: error: {expected}")
+    assert proc.stderr.count("\n") == 1
+    if fault == "out-dir-is-a-file":
+        assert paths["out"].read_text() == "keep\n"
+    else:
+        assert not paths["out"].exists()
+
+
+def test_evaluate_memory_does_not_grow_with_repeated_lyrics(tmp_path):
+    # the same three lyrics over and over: the n-gram sets stop growing, so
+    # only held entries or docs could make the peak grow with the corpus
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    verses = [
+        "\n".join(" ".join(FIXTURE_WORDS[(i * 7 + j) % 60: (i * 7 + j) % 60 + 5])
+                  for j in range(8))
+        for i in range(3)
+    ]
+
+    def evaluate(n: int) -> None:
+        corpus = tmp_path / f"corpus-{n}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                entry = CorpusEntry(f"T{i:05d}", "d" * 64, "m",
+                                    "2024-01-01T00:00:00+00:00", verses[i % 3])
+                fh.write(corpus_entry_line(entry) + "\n")
+        assert cli.main([
+            "evaluate", "--corpus", str(corpus),
+            "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
+            "-o", str(tmp_path / f"eval-{n}"),
+        ]) == 0
+
+    def peak_bytes(n: int) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # CPython keeps up to 2,000 freed tuples of each small size for reuse;
+    # an untraced run fills those lists, so neither traced run counts them
+    evaluate(2500)
+    small = peak_bytes(400)
+    assert peak_bytes(4000) <= 1.5 * small
 
 
 def test_report_command(tmp_path, capsys):

@@ -120,7 +120,7 @@ def test_every_fixture_record_matches_pattern(tmp_path):
     from lyrecon.metadata import (
         join_records,
         parse_genre_table,
-        parse_mood_table,
+        parse_mood_csv,
         parse_track_meta,
     )
 
@@ -129,7 +129,7 @@ def test_every_fixture_record_matches_pattern(tmp_path):
         bow = load_bow(fh)
     records, _ = join_records(
         bow,
-        parse_mood_table(io.StringIO(paths["mood"].read_text())),
+        parse_mood_csv(io.StringIO(paths["mood"].read_text())),
         parse_genre_table(io.StringIO(paths["genres"].read_text())),
         parse_track_meta(io.StringIO(paths["meta"].read_text())),
         default_mood_table(),
