@@ -1,17 +1,20 @@
 """Command-line entry point: join, reconstruct, evaluate, report.
 
-Exit codes: 0 success, 2 unusable input (parse/config/credential errors,
-with file and line in the message), 3 empty join intersection, 4 one or
-more tracks still failed after retries (partial output and manifest are
-kept so the run can be retried).
+Exit codes: 0 success; 2 any unusable input or unwritable output path, in
+any command: one line naming the file, and the line where one is known (or
+the bad flag or setting); 3 empty join intersection; 4 tracks still failed
+after retries (partial output and manifest are kept for a retry). Commands
+raise; ``main`` alone turns an error into that one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import statistics
 import sys
 import typing
@@ -40,23 +43,47 @@ from lyrecon.prompt import build_prompt
 STATS_FIELDS = tuple(f.name for f in dataclasses.fields(ev.CorpusStats))
 
 
-def _fail(message: str) -> int:
-    print(f"lyrecon: error: {message}", file=sys.stderr)
-    return 2
+def _not_utf8(path: Path | str, exc: UnicodeDecodeError) -> str:
+    """The message for a file that is not UTF-8. A text stream decodes in
+    blocks and cannot tell the line, so the file is scanned again for it."""
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return f"{path}: line {line_no}: not UTF-8: {bad.reason}"
+    except OSError:
+        pass
+    return f"{path}: not UTF-8: {exc.reason}"
+
+
+def _os_message(exc: OSError, path: Path | str | None = None) -> str:
+    filename = exc.filename or path
+    return f"{filename}: {exc.strerror or exc}" if filename else str(exc)
+
+
+@contextlib.contextmanager
+def _reading(path: Path | str) -> typing.Iterator[None]:
+    """Blame an error raised in the block on the file at ``path``. Wrap a
+    whole file, never each line: the hot loops pay nothing per track."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise LyreconError(_not_utf8(path, exc)) from exc
+    except OSError as exc:
+        raise LyreconError(_os_message(exc, path)) from exc
+    except (LyreconError, ValueError) as exc:
+        raise LyreconError(f"{path}: {exc}") from exc
 
 
 # --- join -------------------------------------------------------------------
 
 def cmd_join(args: argparse.Namespace) -> int:
-    try:
-        mood_table = (
-            mood_mod.load_mood_table(args.mood_table)
-            if args.mood_table
-            else mood_mod.default_mood_table()
-        )
-    except (LyreconError, OSError) as exc:
-        source = args.mood_table or "default mood table"
-        return _fail(f"{source}: {exc}")
+    mood_table = mood_mod.default_mood_table()
+    if args.mood_table:
+        with _reading(args.mood_table):
+            mood_table = mood_mod.load_mood_table(args.mood_table)
     stages = [
         ("bow", args.bow, lambda fh: load_bow(fh)),
         ("mood", args.mood,
@@ -67,11 +94,8 @@ def cmd_join(args: argparse.Namespace) -> int:
     ]
     parsed = {}
     for name, path, parse in stages:
-        try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                parsed[name] = parse(fh)
-        except (LyreconError, OSError, ValueError) as exc:
-            return _fail(f"{path}: {exc}")
+        with _reading(path), open(path, encoding="utf-8", newline="") as fh:
+            parsed[name] = parse(fh)
     records, report = md.join_records(
         parsed["bow"], parsed["mood"], parsed["genres"], parsed["meta"], mood_table
     )
@@ -89,61 +113,59 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 # --- reconstruct ------------------------------------------------------------
 
-# BackendConfig field -> its type; the config key for ``kind`` is "backend"
-_BACKEND_FIELDS = typing.get_type_hints(be.BackendConfig)
-_CONFIG_KEYS = (
-    "backend", *(name for name in _BACKEND_FIELDS if name != "kind"),
-    "cache_dir", "max_vocabulary_words",
-)
+# settings of the CLI itself, not of BackendConfig
+_CLI_SETTINGS = {"cache_dir": str, "max_vocabulary_words": int}
+# config key -> its type; the key for BackendConfig's ``kind`` is "backend"
+_CONFIG_TYPES = {("backend" if name == "kind" else name): ftype for name, ftype
+                 in typing.get_type_hints(be.BackendConfig).items()} | _CLI_SETTINGS
+# the JSON types a config file value of each type may have
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float)}
 
 
 def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, dict]:
     """Merge flags over the optional config file over BackendConfig's defaults.
 
-    Numbers are coerced to the field's type, so a config file's
+    A config file's numbers are coerced to the field's type, so its
     ``"temperature": 1`` hashes like ``--temperature 1.0``.
     """
     settings: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = set(data) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(data)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+        with _reading(args.config):
+            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(settings, dict):
+                raise LyreconError("not a JSON object")
+            for key, value in settings.items():
+                if key not in _CONFIG_TYPES:
+                    raise LyreconError(f"unknown config key {key!r}")
+                ftype = _CONFIG_TYPES[key]
+                if type(value) not in _JSON_TYPES[ftype]:
+                    raise LyreconError(f"{key}: expected {ftype.__name__}, got {value!r}")
+                settings[key] = ftype(value)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    kwargs = {}
-    for name, ftype in _BACKEND_FIELDS.items():
-        key = "backend" if name == "kind" else name
-        if key in settings:
-            value = settings[key]
-            kwargs[name] = ftype(value) if ftype in (int, float) else value
-    return be.BackendConfig(**kwargs), settings
+    kwargs = {("kind" if key == "backend" else key): value
+              for key, value in settings.items() if key not in _CLI_SETTINGS}
+    cap = settings.get("max_vocabulary_words")
+    try:
+        # prompts are built during the run, so a cap that empties them fails here
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_vocabulary_words must be >= 1, got {cap!r}")
+        return be.BackendConfig(**kwargs), settings
+    except ValueError as exc:
+        raise LyreconError(f"bad configuration: {exc}") from exc
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    try:
-        config, settings = _build_backend_config(args)
-    except (ValueError, TypeError, OSError) as exc:
-        return _fail(f"bad configuration: {exc}")
+    config, settings = _build_backend_config(args)
     cap = settings.get("max_vocabulary_words")
-    # prompts are built during the run, so a cap that empties them fails here
-    if cap is not None and not (isinstance(cap, int) and cap >= 1):
-        return _fail(
-            f"bad configuration: max_vocabulary_words must be >= 1, got {cap!r}"
-        )
-    try:
-        be.require_credential(config)  # before any state is created
-    except be.AuthMissing as exc:
-        return _fail(str(exc))
-    try:
+    be.require_credential(config)  # before any state is created
+    with _reading(args.records):
         records = read_records(args.records)
-    except (LyreconError, OSError) as exc:
-        return _fail(f"{args.records}: {exc}")
-    if not records:
-        return _fail(f"{args.records}: no records to reconstruct")
+        if not records:
+            raise LyreconError("no records to reconstruct")
+        records_digest = file_digest(args.records)
 
     out = Path(args.out)
     manifest_path = Path(str(out) + ".manifest")
@@ -151,29 +173,27 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     config_digest = hashlib.sha256(
         f"{config.digest()}:cap={cap}".encode("utf-8")
     ).hexdigest()
-    records_digest = file_digest(args.records)
-    try:
-        if manifest_path.exists():
+    if manifest_path.exists():
+        with _reading(manifest_path):
             manifest = RunManifest.load(manifest_path, config_digest, records_digest)
+        with _reading(out):
             # the recovered track ids, in file order
             present = dict.fromkeys(e.track_id for e in recover_corpus_file(out))
-        else:
-            if out.exists() and out.stat().st_size > 0:
-                return _fail(
-                    f"{out}: exists without a manifest; refusing to append to it"
-                )
-            manifest = RunManifest.create(
-                manifest_path, config_digest, records_digest, len(records)
+    else:
+        if out.exists() and out.stat().st_size > 0:
+            raise LyreconError(
+                f"{out}: exists without a manifest; refusing to append to it"
             )
-            present = {}
-    except (LyreconError, OSError) as exc:
-        return _fail(str(exc))
+        manifest = RunManifest.create(
+            manifest_path, config_digest, records_digest, len(records)
+        )
+        present = {}
 
     record_ids = [r.track_id for r in records]
     known = set(record_ids)
     stray = [track_id for track_id in present if track_id not in known]
     if stray:
-        return _fail(f"{out}: holds track(s) not in the records file: {stray[:3]}")
+        raise LyreconError(f"{out}: holds track(s) not in the records file: {stray[:3]}")
     pending = len(records) - len(present)
 
     cache_dir = settings.get("cache_dir") or str(out) + ".cache"
@@ -225,11 +245,15 @@ def _stats_json(stats: ev.CorpusStats) -> str:
     return json.dumps(dataclasses.asdict(stats), indent=2) + "\n"
 
 
-def _read_stats_json(path: Path | str) -> ev.CorpusStats:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [k for k in STATS_FIELDS if k not in data]
-    if missing:
-        raise LyreconError(f"{path}: missing stats fields {missing}")
+def _read_stats_json(path: str) -> ev.CorpusStats:
+    with _reading(path):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise LyreconError("not a JSON object")
+        bad = [k for k in STATS_FIELDS
+               if type(data.get(k)) not in (int, float) or not math.isfinite(data[k])]
+        if bad:
+            raise LyreconError(f"stats fields missing or not finite numbers: {bad}")
     return ev.CorpusStats(**{k: data[k] for k in STATS_FIELDS})
 
 
@@ -309,21 +333,6 @@ def _write_outputs(out_dir: Path, outputs: dict[str, str],
         (out_dir / name).write_bytes(blob)
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
-    """The message for a file that is not UTF-8. A text stream decodes in
-    blocks and cannot tell the line, so the file is scanned again for it."""
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    return f"{path}: line {line_no}: not UTF-8: {bad.reason}"
-    except OSError:
-        pass
-    return f"{path}: not UTF-8: {exc.reason}"
-
-
 # an earlier run in another mode must not leave its outputs behind
 _EVALUATE_OUTPUTS = ("stats.json", "stats_reference.json", "report.txt",
                      "report.tsv", "fidelity.tsv", "fidelity_summary.json")
@@ -333,46 +342,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """One streamed pass over each corpus; outputs are written only once
     every input has been read."""
     out_dir = Path(args.out_dir)
-    reading = args.abstract_lexicon  # the input an error is blamed on
-    try:
-        abstract_lex = load_lexicon(reading, "abstract")
-        reading = args.concrete_lexicon
-        concrete_lex = load_lexicon(reading, "concrete")
-        fidelity = None
-        if args.bow:
-            reading = args.bow
-            with open(reading, encoding="utf-8") as fh:
-                fidelity = _FidelityTable(load_bow(fh))
-        reading = args.corpus
+    with _reading(args.abstract_lexicon):
+        abstract_lex = load_lexicon(args.abstract_lexicon, "abstract")
+    with _reading(args.concrete_lexicon):
+        concrete_lex = load_lexicon(args.concrete_lexicon, "concrete")
+    fidelity = None
+    if args.bow:
+        with _reading(args.bow), open(args.bow, encoding="utf-8") as fh:
+            fidelity = _FidelityTable(load_bow(fh))
+    with _reading(args.corpus):
         stats = ev.corpus_stats(
-            _segmented(reading, fidelity.score if fidelity else None),
+            _segmented(args.corpus, fidelity.score if fidelity else None),
             abstract_lex, concrete_lex,
         )
-        outputs = {"stats.json": _stats_json(stats)}
-        if fidelity is not None:
-            reading = args.bow
+    outputs = {"stats.json": _stats_json(stats)}
+    if fidelity is not None:
+        with _reading(args.bow):
             fidelity_outputs, mean_coverage = fidelity.outputs()
-            outputs.update(fidelity_outputs)
-            fidelity = None  # the BoW is released before the reference is read
-        if args.reference:
-            reading = args.reference
+        outputs.update(fidelity_outputs)
+        fidelity = None  # the BoW is released before the reference is read
+    if args.reference:
+        with _reading(args.reference):
             ref_stats = ev.corpus_stats(
-                _segmented(reading), abstract_lex, concrete_lex
+                _segmented(args.reference), abstract_lex, concrete_lex
             )
-            outputs["stats_reference.json"] = _stats_json(ref_stats)
-            outputs.update(_comparison(
-                ev.compare(stats, ref_stats), args.label, args.reference_label
-            ))
-        else:
-            outputs["report.txt"] = ev.render_stats_text(stats, args.label)
-        reading = args.out_dir
+        outputs["stats_reference.json"] = _stats_json(ref_stats)
+        outputs.update(_comparison(
+            ev.compare(stats, ref_stats), args.label, args.reference_label
+        ))
+    else:
+        outputs["report.txt"] = ev.render_stats_text(stats, args.label)
+    with _reading(args.out_dir):
         _write_outputs(out_dir, outputs, stale=_EVALUATE_OUTPUTS)
-    except UnicodeDecodeError as exc:
-        return _fail(_not_utf8(reading, exc))
-    except OSError as exc:
-        return _fail(f"{exc.filename or reading}: {exc.strerror or exc}")
-    except (LyreconError, UnicodeError) as exc:
-        return _fail(f"{reading}: {exc}")
 
     print(f"lyric sets: {stats.lyric_set_count}")
     if args.bow:
@@ -384,13 +385,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- report -----------------------------------------------------------------
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        left = _read_stats_json(args.left)
-        right = _read_stats_json(args.right)
-        outputs = _comparison(ev.compare(left, right), args.left_label, args.right_label)
+    left = _read_stats_json(args.left)
+    right = _read_stats_json(args.right)
+    outputs = _comparison(ev.compare(left, right), args.left_label, args.right_label)
+    with _reading(args.out_dir):
         _write_outputs(Path(args.out_dir), outputs)
-    except (LyreconError, OSError, ValueError, TypeError) as exc:
-        return _fail(str(exc))
     print(outputs["report.txt"], end="")
     return 0
 
@@ -471,7 +470,14 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a write, or a read no command names
+        message = _os_message(exc)
+    except (LyreconError, UnicodeError) as exc:
+        message = str(exc)
+    print(f"lyrecon: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

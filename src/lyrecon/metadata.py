@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Container, Iterable, Iterator
 
 from lyrecon.bow import BowCorpus, ordered_vocabulary
 from lyrecon.errors import LineError
@@ -149,16 +149,27 @@ class JoinReport:
         )
 
 
-def _dict_reader(stream: Iterable[str] | IO[str], columns: ColumnMap,
-                 delimiter: str) -> csv.DictReader:
+def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap, delimiter: str,
+          seen: Container[str]) -> Iterator[tuple[int, str, dict]]:
+    """(line number, track id, row) per data row of a headered table; an
+    empty id, one in ``seen`` or a line the CSV reader rejects raises."""
     reader = csv.DictReader(stream, delimiter=delimiter, skipinitialspace=True)
-    header = reader.fieldnames
-    if header is None:
-        raise MissingColumn("empty table: no header row")
-    for name in (columns.id_column, *columns.value_columns):
-        if name not in header:
-            raise MissingColumn(f"column {name!r} not in header {header}")
-    return reader
+    try:
+        header = reader.fieldnames
+        if header is None:
+            raise MissingColumn("empty table: no header row")
+        for name in (columns.id_column, *columns.value_columns):
+            if name not in header:
+                raise MissingColumn(f"column {name!r} not in header {header}")
+        for row in reader:
+            track_id = (row[columns.id_column] or "").strip()
+            if not track_id:
+                raise EmptyField("empty track id", reader.line_num)
+            if track_id in seen:
+                raise DuplicateId(f"track id {track_id!r} repeated", reader.line_num)
+            yield reader.line_num, track_id, row
+    except csv.Error as exc:
+        raise MalformedLine(str(exc), reader.reader.line_num) from exc
 
 
 def parse_mood_csv(
@@ -167,16 +178,9 @@ def parse_mood_csv(
     delimiter: str = ",",
 ) -> dict[str, MoodPoint]:
     """Parse per-track valence/arousal scores from a headered table."""
-    reader = _dict_reader(stream, columns, delimiter)
     val_col, aro_col = columns.value_columns
     points: dict[str, MoodPoint] = {}
-    for row in reader:
-        line_no = reader.line_num
-        track_id = (row[columns.id_column] or "").strip()
-        if not track_id:
-            raise EmptyField("empty track id", line_no)
-        if track_id in points:
-            raise DuplicateId(f"track id {track_id!r} repeated", line_no)
+    for line_no, track_id, row in _rows(stream, columns, delimiter, points):
         try:
             valence = float(row[val_col])
             arousal = float(row[aro_col])
@@ -204,16 +208,9 @@ def parse_track_meta(
     delimiter: str = ",",
 ) -> dict[str, TrackMeta]:
     """Parse per-track artist and title from a headered table."""
-    reader = _dict_reader(stream, columns, delimiter)
     artist_col, title_col = columns.value_columns
     metas: dict[str, TrackMeta] = {}
-    for row in reader:
-        line_no = reader.line_num
-        track_id = (row[columns.id_column] or "").strip()
-        if not track_id:
-            raise EmptyField("empty track id", line_no)
-        if track_id in metas:
-            raise DuplicateId(f"track id {track_id!r} repeated", line_no)
+    for line_no, track_id, row in _rows(stream, columns, delimiter, metas):
         artist = (row[artist_col] or "").strip()
         title = (row[title_col] or "").strip()
         if not artist:

@@ -271,11 +271,10 @@ class RunManifest:
     ``failed`` append a line, flush it, and update the view.
     """
 
-    def __init__(self, path: Path, config_digest: str, records_digest: str, total: int):
+    def __init__(self, path: Path, config_digest: str, records_digest: str):
         self.path = path
         self.config_digest = config_digest
         self.records_digest = records_digest
-        self.total = total
         self.status: dict[str, str] = {}
         self.reasons: dict[str, str] = {}
         self._fh: IO[str] | None = None
@@ -283,7 +282,7 @@ class RunManifest:
     @classmethod
     def create(cls, path: Path, config_digest: str, records_digest: str,
                total: int) -> "RunManifest":
-        manifest = cls(path, config_digest, records_digest, total)
+        manifest = cls(path, config_digest, records_digest)
         header = {
             "kind": "run",
             "config_digest": config_digest,
@@ -295,26 +294,25 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path, config_digest: str, records_digest: str) -> "RunManifest":
-        """Replay an existing manifest, refusing to mix configurations."""
+        """Replay an existing manifest, refusing to mix configurations. The
+        header's ``total`` is not read: ``records_digest`` pins what it counts."""
         lines = path.read_text(encoding="utf-8").splitlines()
         if not lines:
-            raise ManifestMismatch(f"{path}: empty manifest")
+            raise ManifestMismatch("empty manifest")
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
-            raise ManifestMismatch(f"{path}: unreadable header: {exc}") from exc
+            raise ManifestMismatch(f"unreadable header: {exc}") from exc
         if not isinstance(header, dict) or header.get("kind") != "run":
-            raise ManifestMismatch(f"{path}: first line is not a run header")
+            raise ManifestMismatch("first line is not a run header")
         if header.get("config_digest") != config_digest:
             raise ManifestMismatch(
-                f"{path}: manifest was written with a different backend config; "
+                "manifest was written with a different backend config; "
                 "use a fresh output path or restore the old flags"
             )
         if header.get("records_digest") != records_digest:
-            raise ManifestMismatch(
-                f"{path}: manifest was written for a different records file"
-            )
-        manifest = cls(path, config_digest, records_digest, int(header.get("total", 0)))
+            raise ManifestMismatch("manifest was written for a different records file")
+        manifest = cls(path, config_digest, records_digest)
         for raw in lines[1:]:
             if not raw.strip():
                 continue
@@ -369,11 +367,4 @@ class RunManifest:
         return {t for t, s in self.status.items() if s == "failed"}
 
     def counts(self) -> dict[str, int]:
-        done = len(self.done_ids())
-        failed = len(self.failed_ids())
-        return {
-            "total": self.total,
-            "done": done,
-            "failed": failed,
-            "pending": self.total - done - failed,
-        }
+        return {"done": len(self.done_ids()), "failed": len(self.failed_ids())}

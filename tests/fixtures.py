@@ -114,3 +114,10 @@ def write_lexicons(directory: Path) -> tuple[Path, Path]:
     )
     concrete.write_text("\n".join(CONCRETE_WORDS) + "\n", encoding="utf-8")
     return abstract, concrete
+
+
+def replace_line(path: Path, line_no: int, text: bytes) -> None:
+    """Put ``text`` in place of the file's 1-based line ``line_no``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = text
+    path.write_bytes(b"".join(lines))

@@ -1,0 +1,214 @@
+"""Damaged inputs end in a documented exit code and one line, never a traceback.
+
+Every input file of every subcommand is damaged one way at a time: a 0xE9
+byte on a random line, a cut at a random byte, or JSON of the wrong shape.
+``cli.main`` must return 0, 2, 3 or 4 and raise nothing, and on exit 2 its
+stderr must be one ``lyrecon: error: <file>: ...`` line that names the
+damaged file.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import shutil
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fixtures import replace_line, write_aligned_fixtures, write_lexicons
+from lyrecon import cli
+
+# the command that reads each input, by name
+COMMANDS = {
+    "join": ["join", "--bow", "bow.txt", "--mood", "mood.csv",
+             "--genres", "genres.tsv", "--meta", "meta.csv",
+             "--mood-table", "mood_table.txt", "-o", "out/records.jsonl"],
+    "reconstruct": ["reconstruct", "--records", "records.jsonl",
+                    "--config", "config.json", "-o", "out/corpus.jsonl"],
+    "resume": ["reconstruct", "--records", "records.jsonl",
+               "--config", "config.json", "-o", "corpus.jsonl"],
+    "evaluate": ["evaluate", "--corpus", "corpus.jsonl",
+                 "--reference", "reference.jsonl", "--bow", "bow.txt",
+                 "--abstract-lexicon", "abstract.txt",
+                 "--concrete-lexicon", "concrete.txt", "-o", "out/eval"],
+    "report": ["report", "--left", "left.json", "--right", "right.json",
+               "-o", "out/report"],
+}
+
+# input file -> (the commands that read it, whether it is JSON)
+INPUTS = {
+    "bow.txt": (("join", "evaluate"), False),
+    "mood.csv": (("join",), False),
+    "genres.tsv": (("join",), False),
+    "meta.csv": (("join",), False),
+    "mood_table.txt": (("join",), False),
+    "records.jsonl": (("reconstruct",), True),
+    "config.json": (("reconstruct",), True),
+    "corpus.jsonl.manifest": (("resume",), True),
+    "corpus.jsonl": (("resume", "evaluate"), True),
+    "reference.jsonl": (("evaluate",), True),
+    "abstract.txt": (("evaluate",), False),
+    "concrete.txt": (("evaluate",), False),
+    "left.json": (("report",), True),
+    "right.json": (("report",), True),
+}
+
+CASES = [
+    (name, command, damage)
+    for name, (commands, is_json) in INPUTS.items()
+    for command in commands
+    for damage in ("not-utf8", "truncated", *(("wrong-shape",) if is_json else ()))
+]
+
+# a value of each JSON type, to put where another type belongs
+SHAPES = ([], {}, "x", 7, 0.5, True, None)
+
+
+def _argv(command: str, work: Path) -> list[str]:
+    return [arg if arg.startswith("-") or i == 0 else str(work / arg)
+            for i, arg in enumerate(COMMANDS[command])]
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory) -> Path:
+    """Every input of every command, taken from one finished run."""
+    root = tmp_path_factory.mktemp("pristine")
+    write_aligned_fixtures(root, 6, seed=3)
+    write_lexicons(root)
+    (root / "mood_table.txt").write_text(
+        resources.files("lyrecon").joinpath("data/mood_octants.txt").read_text("utf-8"),
+        encoding="utf-8",
+    )
+    (root / "config.json").write_text(
+        json.dumps({"backend": "mock", "temperature": 0.5}), encoding="utf-8"
+    )
+    (root / "out").mkdir()
+    assert cli.main(_argv("join", root)) == 0
+    (root / "out" / "records.jsonl").rename(root / "records.jsonl")
+    assert cli.main(_argv("resume", root)) == 0
+    shutil.copy(root / "corpus.jsonl", root / "reference.jsonl")
+    assert cli.main(_argv("evaluate", root)) == 0
+    (root / "out" / "eval" / "stats.json").rename(root / "left.json")
+    (root / "out" / "eval" / "stats_reference.json").rename(root / "right.json")
+    shutil.rmtree(root / "out")
+    (root / "out").mkdir()
+    return root
+
+
+def _reshaped(value, rng: random.Random):
+    """``value`` with itself, or one of its fields, of another JSON type."""
+    if isinstance(value, dict) and value and rng.random() < 0.5:
+        key = rng.choice(sorted(value))
+        return {**value, key: _reshaped(value[key], rng)}
+    return rng.choice([s for s in SHAPES if type(s) is not type(value)])
+
+
+def _damage(path: Path, damage: str, rng: random.Random) -> None:
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[: rng.randrange(len(data))])
+        return
+    if damage == "wrong-shape":
+        try:  # a whole JSON document, or else JSON lines: reshape one line
+            path.write_text(json.dumps(_reshaped(json.loads(data), rng)))
+            return
+        except ValueError:
+            pass
+    lines = data.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    end = len(line.rstrip(b"\r\n"))
+    if damage == "not-utf8":
+        at = rng.randrange(end + 1)
+        lines[i] = line[:at] + b"\xe9" + line[at:]
+    else:
+        lines[i] = json.dumps(_reshaped(json.loads(line), rng)).encode() + line[end:]
+    path.write_bytes(b"".join(lines))
+
+
+def _check(argv: list[str], blamed: str, capsys) -> int:
+    capsys.readouterr()
+    code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith(f"lyrecon: error: {blamed}"), err
+        assert err.count("\n") == 1, err
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CASES), rng=st.randoms(use_true_random=False))
+def test_damaged_input_exits_with_a_documented_code(pristine, tmp_path, capsys,
+                                                     case, rng):
+    name, command, damage = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    try:
+        shutil.copytree(pristine, work, dirs_exist_ok=True)
+        _damage(work / name, damage, rng)
+        _check(_argv(command, work), f"{work / name}: ", capsys)
+    finally:
+        shutil.rmtree(work)
+
+
+def _stats_field_of_wrong_type(work: Path) -> None:
+    data = json.loads((work / "left.json").read_text(encoding="utf-8"))
+    (work / "left.json").write_text(json.dumps({**data, "unique_bigrams": "x"}))
+
+
+# id -> (damage to the copied run, command, extra flags, the file blamed and
+# how its message goes on)
+EXPLICIT = {
+    "records-not-utf8": (
+        lambda w: replace_line(w / "records.jsonl", 2, b"caf\xe9\n"),
+        "reconstruct", [], "records.jsonl", ": line 2: not UTF-8"),
+    "manifest-not-utf8-on-resume": (
+        lambda w: replace_line(w / "corpus.jsonl.manifest", 3, b"caf\xe9\n"),
+        "resume", [], "corpus.jsonl.manifest", ": line 3: not UTF-8"),
+    "mood-table-not-utf8": (
+        lambda w: replace_line(w / "mood_table.txt", 2, b"caf\xe9\n"),
+        "join", [], "mood_table.txt", ": line 2: not UTF-8"),
+    "join-out-dir-missing": (
+        lambda w: shutil.rmtree(w / "out"),
+        "join", [], "out/records.jsonl", ".report.json: No such file or directory"),
+    "mood-csv-field-too-long": (
+        lambda w: replace_line(w / "mood.csv", 3, b"T," + b"1" * 131_073 + b",1\n"),
+        "join", [], "mood.csv", ": line 3: field larger than field limit"),
+    "meta-csv-field-too-long": (
+        lambda w: replace_line(w / "meta.csv", 4, b"T,A," + b"t" * 131_073 + b"\n"),
+        "join", [], "meta.csv", ": line 4: field larger than field limit"),
+    "cache-dir-is-a-file": (
+        lambda w: (w / "cache").write_text("a file\n"),
+        "reconstruct", ["--cache-dir", "cache"], "cache", "/"),
+    "corrupt-corpus-line-on-resume": (
+        lambda w: replace_line(w / "corpus.jsonl", 2, b"{broken\n"),
+        "resume", [], "corpus.jsonl", ": line 2: not valid JSON"),
+    "stats-not-json": (
+        lambda w: (w / "left.json").write_text("{"),
+        "report", [], "left.json", ": Expecting property name"),
+    "stats-not-utf8": (
+        lambda w: replace_line(w / "left.json", 3, b"caf\xe9\n"),
+        "report", [], "left.json", ": line 3: not UTF-8"),
+    "stats-field-of-wrong-type": (
+        _stats_field_of_wrong_type,
+        "report", [], "left.json", ": stats fields missing or not finite"),
+    "report-out-dir-is-a-file": (
+        lambda w: (w / "out" / "report").write_text("keep\n"),
+        "report", [], "out/report", ": File exists"),
+}
+
+
+@pytest.mark.parametrize("case", EXPLICIT)
+def test_known_bad_input_exits_2_naming_its_file(pristine, tmp_path, capsys, case):
+    damage, command, extra, blamed, then = EXPLICIT[case]
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    damage(tmp_path)
+    argv = _argv(command, tmp_path) + [
+        str(tmp_path / arg) if i % 2 else arg for i, arg in enumerate(extra)]
+    assert _check(argv, f"{tmp_path / blamed}{then}", capsys) == 2

@@ -74,6 +74,15 @@ def test_mood_missing_column():
         _mood("track_id,valence\nT1,1\n")
 
 
+@pytest.mark.parametrize("parse, header", [(_mood, MOOD_HEADER), (_meta, META_HEADER)],
+                         ids=["mood", "meta"])
+def test_csv_field_over_the_size_limit_is_a_malformed_line(parse, header):
+    # the csv module refuses a field longer than 131,072 chars
+    with pytest.raises(MalformedLine) as err:
+        parse(header + "T1,1,1\n" + "T2,1," + "9" * 131_073 + "\n")
+    assert err.value.line_no == 3
+
+
 def test_mood_custom_columns_and_delimiter():
     columns = ColumnMap.parse("dzr_id, val, aro")
     points = parse_mood_csv(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fakeserver import FakeChatServer
-from fixtures import FIXTURE_WORDS, write_aligned_fixtures, write_lexicons
+from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import backend as be
 from lyrecon import cli
 from lyrecon.metadata import ReconstructionRecord
@@ -342,11 +342,16 @@ def test_reconstruct_manifest_header_not_an_object_exits_2(tmp_path, capsys):
     records = _join(tmp_path, 5, seed=2)
     out = tmp_path / "corpus.jsonl"
     assert _reconstruct_mock(records, out) == 0
+    reference = out.read_bytes()
     manifest_path = Path(str(out) + ".manifest")
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    manifest_path.write_text("\n".join(["[1,2]", *lines[1:]]) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert _reconstruct_mock(records, out) == 2
+    # a header total that is not an int is never read, so the run resumes
+    bad_total = json.dumps({**json.loads(lines[0]), "total": "x"})
+    for header, code in ((bad_total, 0), ("[1,2]", 2)):
+        manifest_path.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert _reconstruct_mock(records, out) == code
+    assert out.read_bytes() == reference
     assert "not a run header" in capsys.readouterr().err
 
 
@@ -532,12 +537,6 @@ def test_evaluate_malformed_corpus_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _replace_line(path: Path, line_no: int, text: bytes) -> None:
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[line_no - 1] = text
-    path.write_bytes(b"".join(lines))
-
-
 # an evaluate input, and the line that gets bytes that are not UTF-8
 _NOT_UTF8_LINE = {"corpus": 2, "reference": 3, "abstract": 2, "concrete": 1, "bow": 4}
 
@@ -546,11 +545,11 @@ def _damage(fault: str, paths: dict[str, Path]) -> str:
     """Damage one evaluate input; returns how the error line must start."""
     if fault in _NOT_UTF8_LINE:
         line_no = _NOT_UTF8_LINE[fault]
-        _replace_line(paths[fault], line_no, b"caf\xe9 \xff\n")
+        replace_line(paths[fault], line_no, b"caf\xe9 \xff\n")
         return f"{paths[fault]}: line {line_no}: "
     if fault == "bow-index-out-of-range":
         line = paths["bow"].read_bytes().splitlines()[2]
-        _replace_line(paths["bow"], 3, line + b",999:1\n")
+        replace_line(paths["bow"], 3, line + b",999:1\n")
         return f"{paths['bow']}: line 3: word index 999 outside 1.."
     if fault == "missing-reference":
         paths["reference"].unlink()
