@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -36,7 +37,8 @@ from urllib.parse import urlsplit
 import requests
 
 from lyrecon.errors import LyreconError
-from lyrecon.pipeline import CorpusEntry, CorpusFormatError, corpus_entry_line, parse_entry
+from lyrecon.pipeline import (CorpusEntry, CorpusFormatError, corpus_entry_line,
+                              json_fields, parse_entry)
 from lyrecon.prompt import Prompt
 
 __all__ = [
@@ -116,8 +118,13 @@ class BackendConfig:
                     f"live backend requires an http(s) endpoint URL with a host, "
                     f"got {self.endpoint!r}"
                 )
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # each comparison is false for NaN
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be finite and >= 0, got {self.backoff_base}")
         if self.max_output_tokens < 1:
             raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if self.max_attempts < 1:
@@ -269,17 +276,12 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
             continue
         if response.status_code == 200:
             try:
-                data = response.json()
-                content = data["choices"][0]["message"]["content"]
+                message = response.json()["choices"][0]["message"]
+                return json_fields(message, {"content": str})["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendUnavailable(
                     f"unexpected response shape from {config.endpoint}: {exc}"
                 ) from exc
-            if not isinstance(content, str):
-                raise BackendUnavailable(
-                    f"completion content is {type(content).__name__}, not text"
-                )
-            return content
         if response.status_code in _RETRYABLE_STATUS or response.status_code >= 500:
             last_error = f"HTTP {response.status_code}"
             continue

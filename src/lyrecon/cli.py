@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-import math
 import statistics
 import sys
 import typing
@@ -32,6 +31,7 @@ from lyrecon.pipeline import (
     corpus_entry_line,
     file_digest,
     iter_corpus,
+    json_fields,
     read_corpus,  # not called here; bench/layertrace.py wraps it by name
     read_records,
     recover_corpus_file,
@@ -39,8 +39,6 @@ from lyrecon.pipeline import (
     write_records,
 )
 from lyrecon.prompt import build_prompt
-
-STATS_FIELDS = tuple(f.name for f in dataclasses.fields(ev.CorpusStats))
 
 
 def _not_utf8(path: Path | str, exc: UnicodeDecodeError) -> str:
@@ -118,29 +116,18 @@ _CLI_SETTINGS = {"cache_dir": str, "max_vocabulary_words": int}
 # config key -> its type; the key for BackendConfig's ``kind`` is "backend"
 _CONFIG_TYPES = {("backend" if name == "kind" else name): ftype for name, ftype
                  in typing.get_type_hints(be.BackendConfig).items()} | _CLI_SETTINGS
-# the JSON types a config file value of each type may have
-_JSON_TYPES = {str: (str,), int: (int,), float: (int, float)}
 
 
 def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, dict]:
-    """Merge flags over the optional config file over BackendConfig's defaults.
-
-    A config file's numbers are coerced to the field's type, so its
-    ``"temperature": 1`` hashes like ``--temperature 1.0``.
-    """
+    """Merge flags over the optional config file over BackendConfig's defaults."""
     settings: dict = {}
     if args.config:
         with _reading(args.config):
-            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            if not isinstance(settings, dict):
-                raise LyreconError("not a JSON object")
-            for key, value in settings.items():
-                if key not in _CONFIG_TYPES:
-                    raise LyreconError(f"unknown config key {key!r}")
-                ftype = _CONFIG_TYPES[key]
-                if type(value) not in _JSON_TYPES[ftype]:
-                    raise LyreconError(f"{key}: expected {ftype.__name__}, got {value!r}")
-                settings[key] = ftype(value)
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            settings = json_fields(data, _CONFIG_TYPES, required=False)
+            unknown = [key for key in data if key not in settings]
+            if unknown:
+                raise LyreconError(f"unknown config key {unknown[0]!r}")
     for key in _CONFIG_TYPES:
         value = getattr(args, key)
         if value is not None:
@@ -220,7 +207,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
             be.run_batch(prompts, config, cache, on_item=write_item)
 
-    counts = manifest.counts()
     print(
         f"reconstructed {pending - len(failed)} track(s), "
         f"{len(present)} already done, {len(failed)} failed"
@@ -229,13 +215,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         for item in failed:
             print(f"lyrecon: failed {item.track_id}: {item.error}", file=sys.stderr)
         print(
-            f"lyrecon: {counts['failed']} track(s) failed; manifest and partial "
+            f"lyrecon: {len(failed)} track(s) failed; manifest and partial "
             f"output kept at {out}",
             file=sys.stderr,
         )
         return 4
     rewrite_corpus_in_order(out, record_ids)
-    print(f"corpus complete: {counts['done']} record(s) in {out}")
+    print(f"corpus complete: {len(record_ids)} record(s) in {out}")
     return 0
 
 
@@ -248,13 +234,11 @@ def _stats_json(stats: ev.CorpusStats) -> str:
 def _read_stats_json(path: str) -> ev.CorpusStats:
     with _reading(path):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise LyreconError("not a JSON object")
-        bad = [k for k in STATS_FIELDS
-               if type(data.get(k)) not in (int, float) or not math.isfinite(data[k])]
-        if bad:
-            raise LyreconError(f"stats fields missing or not finite numbers: {bad}")
-    return ev.CorpusStats(**{k: data[k] for k in STATS_FIELDS})
+        try:
+            fields = json_fields(data, typing.get_type_hints(ev.CorpusStats))
+        except ValueError as exc:
+            raise LyreconError(f"stats fields missing or not finite: {exc}") from exc
+    return ev.CorpusStats(**fields)
 
 
 class _FidelityTable:

@@ -18,6 +18,9 @@ A corpus line is flushed before its manifest "done" line, so "done"
 implies the output exists; the reverse gap (line written, process killed
 before the manifest append) is healed on resume by adopting any track
 already present in the output file.
+
+Every JSON input is read through :func:`json_fields`, which never coerces:
+a field of another JSON type, or a ``NaN``, makes a bad line.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from lyrecon.errors import LineError, LyreconError
 from lyrecon.metadata import ReconstructionRecord
@@ -44,6 +47,7 @@ __all__ = [
     "corpus_entry_line",
     "file_digest",
     "iter_corpus",
+    "json_fields",
     "parse_entry",
     "read_corpus",
     "read_records",
@@ -73,6 +77,36 @@ def file_digest(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+# the JSON types a field of each type may hold: a bool is never a number, and an int
+# for a float field becomes one, so a config's "temperature": 1 hashes like 1.0
+_JSON_TYPES = {str: (str,), int: (int,), float: (float, int), list: (list,)}
+
+
+def json_fields(data: object, types: Mapping[str, type], required: bool = True) -> dict:
+    """The fields of a decoded JSON object that ``types`` names, each of its
+    type. Raises ValueError naming the field; with ``required`` False an
+    absent field is left out."""
+    if type(data) is not dict:
+        raise ValueError("not a JSON object")
+    fields = {}
+    for key, ftype in types.items():
+        try:
+            value = data[key]
+        except KeyError:
+            if required:
+                raise ValueError(f"missing field {key!r}") from None
+            continue
+        if type(value) not in _JSON_TYPES[ftype]:
+            raise ValueError(f"{key}: expected {ftype.__name__}, got {value!r}")
+        if ftype is float:
+            # false for NaN, the infinities, and an int too large for a float
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{key}: expected a finite number, got {value!r}")
+            value = float(value)
+        fields[key] = value
+    return fields
+
+
 # --- records file -----------------------------------------------------------
 
 def record_to_dict(record: ReconstructionRecord) -> dict:
@@ -89,30 +123,32 @@ def record_to_dict(record: ReconstructionRecord) -> dict:
     }
 
 
-def _record_from_dict(data: dict, line_no: int) -> ReconstructionRecord:
+_RECORD_TYPES = {"track_id": str, "artist": str, "title": str, "tags": list,
+                 "valence": float, "arousal": float, "theta": float,
+                 "mood_label": str, "vocabulary": list}
+
+
+def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
     # tags, mood labels and vocabulary words repeat across tracks: interned,
     # every record shares one copy of each. sys.intern takes only str, so a
-    # value that is not a JSON string makes a bad record.
+    # list element that is not a JSON string makes a bad record.
     try:
-        point = MoodPoint(valence=float(data["valence"]), arousal=float(data["arousal"]))
+        fields = json_fields(data, _RECORD_TYPES)
         record = ReconstructionRecord(
-            track_id=str(data["track_id"]),
-            artist=str(data["artist"]),
-            title=str(data["title"]),
-            tags=tuple(map(sys.intern, data["tags"])),
-            mood=point,
-            theta=float(data["theta"]),
-            mood_label=sys.intern(data["mood_label"]),
-            vocabulary=tuple(map(sys.intern, data["vocabulary"])),
+            track_id=fields["track_id"], artist=fields["artist"], title=fields["title"],
+            tags=tuple(map(sys.intern, fields["tags"])),
+            mood=MoodPoint(valence=fields["valence"], arousal=fields["arousal"]),
+            theta=fields["theta"], mood_label=sys.intern(fields["mood_label"]),
+            vocabulary=tuple(map(sys.intern, fields["vocabulary"])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise RecordsFormatError(f"bad record object: {exc}", line_no) from exc
     if not record.tags or not record.vocabulary:
         raise RecordsFormatError(
             f"track {record.track_id}: needs genre tags and vocabulary words",
             line_no,
         )
-    if not math.isclose(record.theta, mood_angle(point), abs_tol=1e-9):
+    if not math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9):
         raise RecordsFormatError(
             f"track {record.track_id}: stored theta does not match valence/arousal",
             line_no,
@@ -135,7 +171,7 @@ def read_records(path: Path | str) -> list[ReconstructionRecord]:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise RecordsFormatError(f"not valid JSON: {exc}", line_no) from exc
             record = _record_from_dict(data, line_no)
             if record.track_id in seen:
@@ -166,6 +202,7 @@ class CorpusEntry:
 
 
 _CORPUS_KEYS = ("track_id", "prompt_digest", "model", "created_at", "lyrics")
+_CORPUS_TYPES = dict.fromkeys(_CORPUS_KEYS, str)
 
 
 def corpus_entry_line(entry: CorpusEntry, keys: Sequence[str] = _CORPUS_KEYS) -> str:
@@ -180,16 +217,10 @@ def parse_entry(text: str | bytes, line_no: int | None = None) -> CorpusEntry:
     except ValueError as exc:
         raise CorpusFormatError(f"not valid JSON: {exc}", line_no) from exc
     try:
-        entry = CorpusEntry(
-            track_id=str(data["track_id"]),
-            prompt_digest=str(data["prompt_digest"]),
-            model=str(data["model"]),
-            created_at=str(data["created_at"]),
-            lyrics=data["lyrics"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"missing field: {exc}", line_no) from exc
-    if not isinstance(entry.lyrics, str) or not entry.lyrics:
+        entry = CorpusEntry(**json_fields(data, _CORPUS_TYPES))
+    except ValueError as exc:
+        raise CorpusFormatError(str(exc), line_no) from exc
+    if not entry.lyrics:
         raise CorpusFormatError("lyrics must be non-empty text", line_no)
     return entry
 
@@ -314,22 +345,19 @@ class RunManifest:
             raise ManifestMismatch("manifest was written for a different records file")
         manifest = cls(path, config_digest, records_digest)
         for raw in lines[1:]:
-            if not raw.strip():
-                continue
+            # a blank line, a torn tail line from a crash (the state before
+            # it is intact) or an event of the wrong shape is skipped
             try:
-                event = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # torn tail line from a crash; state before it is intact
-            # an event of the wrong shape is skipped like a torn one
-            if not isinstance(event, dict) or event.get("kind") != "status":
+                data = json.loads(raw)
+                event = json_fields(data, {"kind": str, "track_id": str, "status": str})
+            except ValueError:
                 continue
-            track_id = event.get("track_id")
-            status = event.get("status")
-            if not (track_id and isinstance(track_id, str)) or status not in ("done", "failed"):
+            track_id, status = event["track_id"], event["status"]
+            if event["kind"] != "status" or not track_id or status not in ("done", "failed"):
                 continue
             manifest.status[track_id] = status
             if status == "failed":
-                manifest.reasons[track_id] = event.get("reason", "")
+                manifest.reasons[track_id] = data.get("reason", "")
             else:
                 manifest.reasons.pop(track_id, None)
         return manifest
@@ -359,12 +387,3 @@ class RunManifest:
         )
         self.status[track_id] = "failed"
         self.reasons[track_id] = reason
-
-    def done_ids(self) -> set[str]:
-        return {t for t, s in self.status.items() if s == "done"}
-
-    def failed_ids(self) -> set[str]:
-        return {t for t, s in self.status.items() if s == "failed"}
-
-    def counts(self) -> dict[str, int]:
-        return {"done": len(self.done_ids()), "failed": len(self.failed_ids())}

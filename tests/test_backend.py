@@ -134,6 +134,12 @@ def test_cache_hit_rebinds_track_id(tmp_path):
         dict(max_output_tokens=0),
         dict(max_attempts=0),
         dict(max_in_flight=0),
+        dict(temperature=float("nan")),
+        dict(timeout=0),
+        dict(timeout=-1),
+        dict(timeout=float("nan")),
+        dict(backoff_base=-1),
+        dict(backoff_base=float("nan")),
     ],
 )
 def test_bad_configs_rejected(kwargs):
@@ -314,8 +320,9 @@ def test_batch_memory_does_not_grow_with_batch_size():
         lambda data: json.dumps({k: v for k, v in data.items() if k != "model"}),
         lambda data: json.dumps({**data, "lyrics": ""}),
         lambda data: json.dumps({**data, "prompt_digest": "0" * 64}),
+        lambda data: json.dumps({**data, "model": 5}),
     ],
-    ids=["truncated", "missing-field", "empty-lyrics", "other-digest"],
+    ids=["truncated", "missing-field", "empty-lyrics", "other-digest", "model-not-text"],
 )
 def test_unreadable_cache_entry_is_a_miss_and_replaced(tmp_path, damage):
     cache = LyricsCache(tmp_path / "cache")

@@ -157,6 +157,34 @@ def test_damaged_input_exits_with_a_documented_code(pristine, tmp_path, capsys,
         shutil.rmtree(work)
 
 
+# inputs read line by line to the end: a reshaped field is of another JSON
+# type or, for a number swapped for 7, breaks the record's stored theta
+READ_WHOLE = [("records.jsonl", "reconstruct"), ("corpus.jsonl", "evaluate"),
+              ("reference.jsonl", "evaluate")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(READ_WHOLE), rng=st.randoms(use_true_random=False))
+def test_wrong_shape_in_a_file_read_whole_exits_2(pristine, tmp_path, capsys, case, rng):
+    name, command = case
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    try:
+        shutil.copytree(pristine, work, dirs_exist_ok=True)
+        _damage(work / name, "wrong-shape", rng)
+        assert _check(_argv(command, work), f"{work / name}: ", capsys) == 2
+    finally:
+        shutil.rmtree(work)
+
+
+def _edit_line(name: str, line_no: int, edit):
+    """A damage that rewrites one JSON line of ``name`` through ``edit``."""
+    def damage(work: Path) -> None:
+        line = (work / name).read_bytes().splitlines()[line_no - 1]
+        replace_line(work / name, line_no, json.dumps(edit(json.loads(line))).encode() + b"\n")
+    return damage
+
+
 def _stats_field_of_wrong_type(work: Path) -> None:
     data = json.loads((work / "left.json").read_text(encoding="utf-8"))
     (work / "left.json").write_text(json.dumps({**data, "unique_bigrams": "x"}))
@@ -186,6 +214,18 @@ EXPLICIT = {
     "cache-dir-is-a-file": (
         lambda w: (w / "cache").write_text("a file\n"),
         "reconstruct", ["--cache-dir", "cache"], "cache", "/"),
+    "records-artist-null": (
+        _edit_line("records.jsonl", 2, lambda d: {**d, "artist": None}),
+        "reconstruct", [], "records.jsonl", ": line 2: bad record object: artist"),
+    "records-tags-a-string": (
+        _edit_line("records.jsonl", 3, lambda d: {**d, "tags": "Rock"}),
+        "reconstruct", [], "records.jsonl", ": line 3: bad record object: tags"),
+    "records-valence-as-text": (
+        _edit_line("records.jsonl", 4, lambda d: {**d, "valence": str(d["valence"])}),
+        "reconstruct", [], "records.jsonl", ": line 4: bad record object: valence"),
+    "corpus-model-a-number-on-resume": (
+        _edit_line("corpus.jsonl", 3, lambda d: {**d, "model": 5}),
+        "resume", [], "corpus.jsonl", ": line 3: model"),
     "corrupt-corpus-line-on-resume": (
         lambda w: replace_line(w / "corpus.jsonl", 2, b"{broken\n"),
         "resume", [], "corpus.jsonl", ": line 2: not valid JSON"),

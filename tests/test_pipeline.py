@@ -295,6 +295,15 @@ def test_reconstruct_rejects_vocabulary_cap_below_one_before_any_state(
     assert not Path(str(out) + ".manifest").exists()
 
 
+def test_reconstruct_rejects_zero_timeout_before_any_state(tmp_path, capsys):
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out, ["--timeout", "0"]) == 2
+    assert "bad configuration: timeout must be" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest").exists()
+
+
 def test_reconstruct_adopts_orphan_output_line(tmp_path):
     # crash window: corpus line flushed, manifest "done" line not yet written
     records = _join(tmp_path, 5, seed=2)
