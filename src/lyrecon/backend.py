@@ -34,8 +34,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
-import requests
-
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (CorpusEntry, CorpusFormatError, corpus_entry_line,
                               json_fields, parse_entry)
@@ -256,6 +254,10 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
     connections, broken response bodies), HTTP 429 and 5xx. Backoff is
     ``backoff_base * 2**(attempt-1)`` seconds, so delays never shrink.
     """
+    # imported here, not at module level: only the live backend sends HTTP,
+    # and every offline command would otherwise pay for loading it
+    import requests
+
     body = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt_text}],

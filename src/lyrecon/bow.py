@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from lyrecon.errors import LineError
 
@@ -35,6 +35,7 @@ __all__ = [
     "NonPositiveCount",
     "TrackBow",
     "VocabTable",
+    "iter_bow",
     "load_bow",
     "ordered_vocabulary",
     "serialize_bow",
@@ -184,33 +185,52 @@ def _parse_data_line(line: str, line_no: int, vocab_size: int) -> TrackBow:
     return TrackBow(track_id=track_id, source_id=source_id, counts=counts)
 
 
-def load_bow(source: Iterable[str] | IO[str] | str) -> BowCorpus:
-    """Parse a BoW file from a string, an open text stream, or lines."""
+def iter_bow(
+    source: Iterable[str] | IO[str] | str,
+) -> tuple[VocabTable, Iterator[TrackBow]]:
+    """The vocabulary header of a BoW file, and an iterator that parses its
+    tracks one line at a time as they are taken, and can be taken once.
+
+    The source is read up to the header by this call. Each track is fully
+    validated, a repeated id included, before it is yielded.
+    """
     if isinstance(source, str):
         source = io.StringIO(source)
-    vocab: VocabTable | None = None
-    tracks: list[TrackBow] = []
-    seen_ids: set[str] = set()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        if line.startswith("%"):
-            if vocab is not None:
-                raise BowParseError("second vocabulary header", line_no)
-            vocab = _parse_vocab_line(line[1:], line_no)
-            continue
-        if vocab is None:
+    lines = _content_lines(source)
+    for line_no, line in lines:
+        if not line.startswith("%"):
             raise MissingVocabHeader(
                 "data line before the % vocabulary header", line_no
             )
-        track = _parse_data_line(line, line_no, len(vocab))
+        vocab = _parse_vocab_line(line[1:], line_no)
+        return vocab, _tracks(lines, vocab)
+    raise MissingVocabHeader("no % vocabulary header in input")
+
+
+def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, text) per line that is neither blank nor a comment."""
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip() and not line.startswith("#"):
+            yield line_no, line
+
+
+def _tracks(lines: Iterator[tuple[int, str]], vocab: VocabTable) -> Iterator[TrackBow]:
+    size = len(vocab)
+    seen_ids: set[str] = set()
+    for line_no, line in lines:
+        if line.startswith("%"):
+            raise BowParseError("second vocabulary header", line_no)
+        track = _parse_data_line(line, line_no, size)
         if track.track_id in seen_ids:
             raise DuplicateTrackId(f"track id {track.track_id!r} repeated", line_no)
         seen_ids.add(track.track_id)
-        tracks.append(track)
-    if vocab is None:
-        raise MissingVocabHeader("no % vocabulary header in input")
+        yield track
+
+
+def load_bow(source: Iterable[str] | IO[str] | str) -> BowCorpus:
+    """Parse a BoW file from a string, an open text stream, or lines."""
+    vocab, tracks = iter_bow(source)
     return BowCorpus(vocab=vocab, tracks=tuple(tracks))
 
 

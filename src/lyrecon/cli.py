@@ -24,7 +24,7 @@ from lyrecon import evaluation as ev
 from lyrecon import metadata as md
 from lyrecon import mood as mood_mod
 from lyrecon.analysis import LyricDoc, load_lexicon, segment
-from lyrecon.bow import BowCorpus, load_bow
+from lyrecon.bow import BowCorpus, iter_bow, load_bow
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
     RunManifest,
@@ -83,7 +83,6 @@ def cmd_join(args: argparse.Namespace) -> int:
         with _reading(args.mood_table):
             mood_table = mood_mod.load_mood_table(args.mood_table)
     stages = [
-        ("bow", args.bow, lambda fh: load_bow(fh)),
         ("mood", args.mood,
          lambda fh: md.parse_mood_csv(fh, md.ColumnMap.parse(args.mood_columns))),
         ("genres", args.genres, lambda fh: md.parse_genre_table(fh)),
@@ -94,9 +93,11 @@ def cmd_join(args: argparse.Namespace) -> int:
     for name, path, parse in stages:
         with _reading(path), open(path, encoding="utf-8", newline="") as fh:
             parsed[name] = parse(fh)
-    records, report = md.join_records(
-        parsed["bow"], parsed["mood"], parsed["genres"], parsed["meta"], mood_table
-    )
+    # the BoW is read last, once, each track joined and dropped as it is parsed
+    with _reading(args.bow), open(args.bow, encoding="utf-8", newline="") as fh:
+        records, report = md.join_records(
+            *iter_bow(fh), parsed["mood"], parsed["genres"], parsed["meta"], mood_table
+        )
     print(report.render())
     Path(str(args.out) + ".report.json").write_text(
         json.dumps(dataclasses.asdict(report), indent=2) + "\n", encoding="utf-8"

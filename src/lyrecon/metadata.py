@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Container, Iterable, Iterator
 
-from lyrecon.bow import BowCorpus, ordered_vocabulary
+from lyrecon.bow import TrackBow, VocabTable, ordered_vocabulary
 from lyrecon.errors import LineError
 from lyrecon.mood import MoodPoint, MoodTable, ZeroMoodVector, mood_angle, mood_label
 
@@ -253,7 +253,8 @@ def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, GenreTags]:
 
 
 def join_records(
-    bow: BowCorpus,
+    vocab: VocabTable,
+    tracks: Iterable[TrackBow],
     mood: dict[str, MoodPoint],
     genres: dict[str, GenreTags],
     meta: dict[str, TrackMeta],
@@ -261,15 +262,18 @@ def join_records(
 ) -> tuple[list[ReconstructionRecord], JoinReport]:
     """Inner-join all four sources into records, sorted by track id.
 
-    Order-insensitive: only membership matters, so shuffled inputs yield
-    the identical record list.
+    ``tracks`` is read once, and a track's counts are dropped as soon as its
+    record is built, so memory follows the joined records and the side
+    tables, not the BoW file. Order-insensitive: only membership matters,
+    so shuffled inputs yield the identical record list.
     """
-    bow_tracks = bow.by_track_id()
-    joined_ids = sorted(
-        set(bow_tracks) & set(mood) & set(genres) & set(meta)
-    )
     records: list[ReconstructionRecord] = []
-    for track_id in joined_ids:
+    bow_tracks = 0
+    for track in tracks:
+        bow_tracks += 1
+        track_id = track.track_id
+        if track_id not in mood or track_id not in genres or track_id not in meta:
+            continue
         point = mood[track_id]
         theta = mood_angle(point)
         records.append(
@@ -281,11 +285,12 @@ def join_records(
                 mood=point,
                 theta=theta,
                 mood_label=mood_label(theta, mood_table),
-                vocabulary=tuple(ordered_vocabulary(bow_tracks[track_id], bow.vocab)),
+                vocabulary=tuple(ordered_vocabulary(track, vocab)),
             )
         )
+    records.sort(key=lambda record: record.track_id)
     report = JoinReport(
-        bow_tracks=len(bow_tracks),
+        bow_tracks=bow_tracks,
         mood_rows=len(mood),
         genre_tracks=len(genres),
         meta_rows=len(meta),

@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,8 +85,8 @@ _JSON_TYPES = {str: (str,), int: (int,), float: (float, int), list: (list,)}
 
 def json_fields(data: object, types: Mapping[str, type], required: bool = True) -> dict:
     """The fields of a decoded JSON object that ``types`` names, each of its
-    type. Raises ValueError naming the field; with ``required`` False an
-    absent field is left out."""
+    type. Raises ValueError naming the field and a shortened repr of its
+    value; with ``required`` False an absent field is left out."""
     if type(data) is not dict:
         raise ValueError("not a JSON object")
     fields = {}
@@ -97,11 +98,13 @@ def json_fields(data: object, types: Mapping[str, type], required: bool = True) 
                 raise ValueError(f"missing field {key!r}") from None
             continue
         if type(value) not in _JSON_TYPES[ftype]:
-            raise ValueError(f"{key}: expected {ftype.__name__}, got {value!r}")
+            raise ValueError(
+                f"{key}: expected {ftype.__name__}, got {reprlib.repr(value)}")
         if ftype is float:
             # false for NaN, the infinities, and an int too large for a float
             if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{key}: expected a finite number, got {value!r}")
+                raise ValueError(
+                    f"{key}: expected a finite number, got {reprlib.repr(value)}")
             value = float(value)
         fields[key] = value
     return fields
@@ -128,20 +131,30 @@ _RECORD_TYPES = {"track_id": str, "artist": str, "title": str, "tags": list,
                  "mood_label": str, "vocabulary": list}
 
 
+def _interned(key: str, values: list) -> tuple[str, ...]:
+    """The strings of a JSON array, each interned; raises ValueError naming
+    the first element that is not a string."""
+    try:
+        return tuple(map(sys.intern, values))
+    except TypeError:
+        index, value = next((i, v) for i, v in enumerate(values) if type(v) is not str)
+        raise ValueError(
+            f"{key}[{index}]: expected str, got {reprlib.repr(value)}") from None
+
+
 def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
     # tags, mood labels and vocabulary words repeat across tracks: interned,
-    # every record shares one copy of each. sys.intern takes only str, so a
-    # list element that is not a JSON string makes a bad record.
+    # every record shares one copy of each
     try:
         fields = json_fields(data, _RECORD_TYPES)
         record = ReconstructionRecord(
             track_id=fields["track_id"], artist=fields["artist"], title=fields["title"],
-            tags=tuple(map(sys.intern, fields["tags"])),
+            tags=_interned("tags", fields["tags"]),
             mood=MoodPoint(valence=fields["valence"], arousal=fields["arousal"]),
             theta=fields["theta"], mood_label=sys.intern(fields["mood_label"]),
-            vocabulary=tuple(map(sys.intern, fields["vocabulary"])),
+            vocabulary=_interned("vocabulary", fields["vocabulary"]),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise RecordsFormatError(f"bad record object: {exc}", line_no) from exc
     if not record.tags or not record.vocabulary:
         raise RecordsFormatError(

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import lyrecon.backend as backend_module
 from fakeserver import FakeChatServer
+from fixtures import write_aligned_fixtures, write_lexicons
 from lyrecon.analysis import segment
 from lyrecon.backend import (
     AuthMissing,
@@ -397,15 +401,16 @@ def test_live_model_default_differs_from_mock():
 
 
 def test_any_requests_exception_ends_as_failed_item(monkeypatch, api_key):
-    import lyrecon.backend as backend_module
+    import requests
 
     calls = []
 
     def broken_post(*args, **kwargs):
         calls.append(args)
-        raise backend_module.requests.exceptions.ChunkedEncodingError("body cut short")
+        raise requests.exceptions.ChunkedEncodingError("body cut short")
 
-    monkeypatch.setattr(backend_module.requests, "post", broken_post)
+    # the backend imports requests when it sends, and calls requests.post
+    monkeypatch.setattr(requests, "post", broken_post)
     config = BackendConfig(
         kind="live", endpoint="http://127.0.0.1:1/v1", max_attempts=2, backoff_base=0.0
     )
@@ -414,3 +419,35 @@ def test_any_requests_exception_ends_as_failed_item(monkeypatch, api_key):
     assert not items[0].ok
     assert "BackendUnavailable" in items[0].error
     assert "ChunkedEncodingError" in items[0].error
+
+
+def test_offline_commands_never_load_requests(tmp_path):
+    paths = write_aligned_fixtures(tmp_path / "data", 6, seed=2)
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    records, corpus = tmp_path / "records.jsonl", tmp_path / "corpus.jsonl"
+    stats = tmp_path / "eval"
+    commands = [
+        ["join", "--bow", paths["bow"], "--mood", paths["mood"],
+         "--genres", paths["genres"], "--meta", paths["meta"], "-o", records],
+        ["reconstruct", "--records", records, "--backend", "mock", "-o", corpus],
+        ["evaluate", "--corpus", corpus, "--reference", corpus, "--bow", paths["bow"],
+         "--abstract-lexicon", abstract, "--concrete-lexicon", concrete, "-o", stats],
+        ["report", "--left", stats / "stats.json", "--right", stats / "stats_reference.json",
+         "-o", tmp_path / "report"],
+    ]
+    # a fresh interpreter: this one has loaded requests for the live tests
+    script = ("import json, sys\n"
+              "from lyrecon import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'requests' in sys.modules]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([list(map(str, c)) for c in commands])],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded is False

@@ -17,6 +17,7 @@ from lyrecon.bow import (
     NonPositiveCount,
     TrackBow,
     VocabTable,
+    iter_bow,
     load_bow,
     ordered_vocabulary,
     serialize_bow,
@@ -63,6 +64,18 @@ def test_duplicate_track_id():
     with pytest.raises(DuplicateTrackId) as err:
         load_bow("%a\nT1,,1:1\nT1,,1:2")
     assert err.value.line_no == 3
+
+
+def test_iter_bow_reads_the_header_at_once_and_each_track_as_taken():
+    with pytest.raises(MissingVocabHeader) as err:
+        iter_bow("# comment\nT1,M1,1:1\n%a")
+    assert err.value.line_no == 2
+    vocab, tracks = iter_bow("%a,b\nT1,M1,1:1\nT2,M2,2:4\nT1,M1,2:1\n")
+    assert vocab.words == ("a", "b")
+    assert [next(tracks).track_id, next(tracks).track_id] == ["T1", "T2"]
+    with pytest.raises(DuplicateTrackId) as err:
+        next(tracks)
+    assert err.value.line_no == 4
 
 
 @pytest.mark.parametrize(

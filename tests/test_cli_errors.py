@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtures import replace_line, write_aligned_fixtures, write_lexicons
+from fixtures import make_bow_text, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import cli
 
 # the command that reads each input, by name
@@ -220,6 +220,13 @@ EXPLICIT = {
     "records-tags-a-string": (
         _edit_line("records.jsonl", 3, lambda d: {**d, "tags": "Rock"}),
         "reconstruct", [], "records.jsonl", ": line 3: bad record object: tags"),
+    "records-vocabulary-element-a-number": (
+        _edit_line("records.jsonl", 2, lambda d: {**d, "vocabulary": [1, *d["vocabulary"]]}),
+        "reconstruct", [], "records.jsonl",
+        ": line 2: bad record object: vocabulary[0]: expected str, got 1\n"),
+    "records-tags-element-null": (
+        _edit_line("records.jsonl", 3, lambda d: {**d, "tags": [*d["tags"], None]}),
+        "reconstruct", [], "records.jsonl", ": line 3: bad record object: tags["),
     "records-valence-as-text": (
         _edit_line("records.jsonl", 4, lambda d: {**d, "valence": str(d["valence"])}),
         "reconstruct", [], "records.jsonl", ": line 4: bad record object: valence"),
@@ -252,3 +259,45 @@ def test_known_bad_input_exits_2_naming_its_file(pristine, tmp_path, capsys, cas
     argv = _argv(command, tmp_path) + [
         str(tmp_path / arg) if i % 2 else arg for i, arg in enumerate(extra)]
     assert _check(argv, f"{tmp_path / blamed}{then}", capsys) == 2
+
+
+# field -> a long value of the wrong type or out of range
+LONG_VALUES = {"theta": 10 ** 400, "artist": list(range(1000)), "valence": "9" * 1000}
+
+
+@pytest.mark.parametrize("key", LONG_VALUES)
+def test_a_long_bad_value_is_echoed_cut_short(pristine, tmp_path, capsys, key):
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    _edit_line("records.jsonl", 2, lambda d: {**d, key: LONG_VALUES[key]})(tmp_path)
+    capsys.readouterr()
+    assert cli.main(_argv("reconstruct", tmp_path)) == 2
+    err = capsys.readouterr().err
+    named = f"lyrecon: error: {tmp_path / 'records.jsonl'}: line 2: bad record object: {key}: "
+    assert err.startswith(named), err
+    assert err.count("\n") == 1
+    assert len(err) - len(named) < 100, err
+
+
+BOW_TRACKS = 500  # line 1 is the header, lines 2 to 501 the tracks
+
+# id -> (the damage to the BoW's lines, the line blamed)
+BOW_DAMAGE = {
+    "duplicate-id-after-many-tracks": (lambda lines: [*lines, lines[1]], BOW_TRACKS + 2),
+    "second-header": (lambda lines: [*lines[:300], "%again,words", *lines[300:]], 301),
+    "bad-pair-on-the-last-line": (
+        lambda lines: [*lines[:-1], lines[-1] + ",7:x"], BOW_TRACKS + 1),
+    "data-line-before-the-header": (lambda lines: ["# tracks", lines[1], *lines], 2),
+}
+
+
+@pytest.mark.parametrize("case", BOW_DAMAGE)
+def test_a_damaged_bow_ends_the_join_before_any_output(pristine, tmp_path, capsys, case):
+    damage, line_no = BOW_DAMAGE[case]
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    lines = make_bow_text(BOW_TRACKS, seed=3).splitlines()
+    (tmp_path / "bow.txt").write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+    blamed = f"{tmp_path / 'bow.txt'}: line {line_no}: "
+    assert _check(_argv("join", tmp_path), blamed, capsys) == 2
+    out = tmp_path / "out" / "records.jsonl"
+    assert not out.exists()
+    assert not Path(f"{out}.report.json").exists()

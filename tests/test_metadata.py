@@ -3,11 +3,13 @@ from __future__ import annotations
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from fixtures import write_aligned_fixtures
-from lyrecon.bow import load_bow
+from fixtures import make_bow_text, write_aligned_fixtures
+from lyrecon import cli
+from lyrecon.bow import iter_bow, load_bow, serialize_bow
 from lyrecon.metadata import (
     ColumnMap,
     DuplicateId,
@@ -163,7 +165,9 @@ def _tiny_sources():
 
 def test_join_is_intersection():
     bow, mood, genres, meta = _tiny_sources()
-    records, report = join_records(bow, mood, genres, meta, default_mood_table())
+    records, report = join_records(
+        bow.vocab, bow.tracks, mood, genres, meta, default_mood_table()
+    )
     assert [r.track_id for r in records] == ["A"]
     assert report.joined == 1
     assert report.bow_tracks == 2
@@ -175,7 +179,9 @@ def test_join_empty_intersection():
     mood = _mood(MOOD_HEADER + "Y,1,1\n")
     genres = parse_genre_table(io.StringIO("Z\tRock\n"))
     meta = _meta(META_HEADER + "W,A,T\n")
-    records, report = join_records(bow, mood, genres, meta, default_mood_table())
+    records, report = join_records(
+        bow.vocab, bow.tracks, mood, genres, meta, default_mood_table()
+    )
     assert records == []
     assert report.joined == 0
 
@@ -191,7 +197,7 @@ def test_join_record_fields_recomputable(tmp_path):
     with open(paths["meta"], encoding="utf-8", newline="") as fh:
         meta = parse_track_meta(fh)
     table = default_mood_table()
-    records, report = join_records(bow, mood, genres, meta, table)
+    records, report = join_records(bow.vocab, bow.tracks, mood, genres, meta, table)
     assert report.joined == 10
     assert [r.track_id for r in records] == sorted(r.track_id for r in records)
     labels = table.labels()
@@ -227,17 +233,54 @@ def test_join_order_insensitive(tmp_path):
     table = default_mood_table()
 
     base, _ = join_records(
-        bow,
+        bow.vocab,
+        bow.tracks,
         parse_mood_csv(io.StringIO("\n".join(mood_lines) + "\n")),
         parse_genre_table(io.StringIO("\n".join(genre_lines) + "\n")),
         meta,
         table,
     )
     shuffled, _ = join_records(
-        bow,
+        bow.vocab,
+        bow.tracks,
         parse_mood_csv(io.StringIO("\n".join(shuffled_mood) + "\n")),
         parse_genre_table(io.StringIO("\n".join(shuffled_genres) + "\n")),
         meta,
         table,
     )
     assert base == shuffled
+
+
+def test_join_reads_a_stream_of_tracks_once():
+    bow, mood, genres, meta = _tiny_sources()
+    table = default_mood_table()
+    vocab, tracks = iter_bow(serialize_bow(bow))
+    streamed = join_records(vocab, tracks, mood, genres, meta, table)
+    assert next(tracks, None) is None
+    assert streamed == join_records(bow.vocab, bow.tracks, mood, genres, meta, table)
+
+
+def test_join_memory_does_not_follow_the_bow_size(tmp_path):
+    # the side tables name 10 tracks; a BoW of 4,000 must cost the join only
+    # the ids it keeps to refuse a repeated one (about 100 bytes a track),
+    # not the parsed counts (about 800)
+    paths = write_aligned_fixtures(tmp_path, 10, seed=4)
+
+    def peak_bytes(n_tracks: int) -> int:
+        bow = tmp_path / f"bow{n_tracks}.txt"
+        bow.write_text(make_bow_text(n_tracks, seed=4), encoding="utf-8")
+        argv = ["join", "--bow", str(bow), "--mood", str(paths["mood"]),
+                "--genres", str(paths["genres"]), "--meta", str(paths["meta"]),
+                "-o", str(tmp_path / f"records{n_tracks}.jsonl")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak_bytes(10)
+    assert peak_bytes(4000) <= small + 200 * 3990
+    # the extra BoW tracks join nothing, so the records are the same
+    assert (tmp_path / "records10.jsonl").read_bytes() == \
+        (tmp_path / "records4000.jsonl").read_bytes()

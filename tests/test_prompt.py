@@ -128,7 +128,8 @@ def test_every_fixture_record_matches_pattern(tmp_path):
     with open(paths["bow"], encoding="utf-8") as fh:
         bow = load_bow(fh)
     records, _ = join_records(
-        bow,
+        bow.vocab,
+        bow.tracks,
         parse_mood_csv(io.StringIO(paths["mood"].read_text())),
         parse_genre_table(io.StringIO(paths["genres"].read_text())),
         parse_track_meta(io.StringIO(paths["meta"].read_text())),
