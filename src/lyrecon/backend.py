@@ -3,8 +3,11 @@
 The live backend posts a chat-completion request (model, one user message,
 temperature, max tokens) to the configured endpoint and expects the usual
 ``choices[0].message.content`` reply shape; anything vendor-specific stays
-behind this module. Credentials come only from the ``LYRECON_API_KEY``
-environment variable so they cannot leak through flags or config files.
+behind this module. It sends with the standard library's ``urllib.request``,
+loaded on the first live request only, so the package has no runtime
+dependency and the offline commands never load an HTTP client. Credentials
+come only from the ``LYRECON_API_KEY`` environment variable so they cannot
+leak through flags or config files.
 
 Results are cached on disk under a content address: the SHA-256 of prompt
 text + model + decoding parameters. A second call with identical inputs is
@@ -20,6 +23,7 @@ reason).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -169,50 +173,58 @@ def cache_key(
 class LyricsCache:
     """One JSON file per digest under ``<root>/<digest[:2]>/<digest>``.
 
-    Writes go through a temp file and a hard link, so the first completed
-    write for a digest wins and concurrent writers never interleave. An
-    entry that does not parse, or that is filed under another digest, is
-    deleted on read and reported as a miss, so the next write replaces it.
+    A write goes to a temp file that is then renamed over the entry, so a
+    reader sees either no entry or a whole one, and concurrent writers of
+    one digest leave one whole entry. An entry that does not parse, or that
+    is filed under another digest, is deleted on read and reported as a
+    miss, so the next write replaces it.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / digest
+        self._root = os.path.join(self.root, "")  # ends with a separator
+        self._shards: set[str] = set()  # shard dirs this instance made
 
     def get(self, digest: str) -> CorpusEntry | None:
-        path = self._path(digest)
+        path = f"{self._root}{digest[:2]}{os.sep}{digest}"
         try:
-            entry = parse_entry(path.read_bytes())
+            with open(path, "rb") as fh:
+                entry = parse_entry(fh.read())
             if entry.prompt_digest == digest:
                 return entry
         except FileNotFoundError:
             return None
         except CorpusFormatError:
             pass
-        path.unlink(missing_ok=True)  # unreadable or misfiled: a miss
+        try:
+            os.unlink(path)  # unreadable or misfiled: a miss
+        except FileNotFoundError:
+            pass
         return None
 
     def put(self, result: CorpusEntry) -> None:
-        path = self._path(result.prompt_digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = corpus_entry_line(result, _CACHE_KEYS)
+        digest = result.prompt_digest
+        shard = self._root + digest[:2]
+        path = f"{shard}{os.sep}{digest}"
         # one temp name per writer: the batch's threads share the pid
-        tmp = path.with_name(
-            path.name + f".tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        tmp.write_text(payload, encoding="utf-8")
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        data = corpus_entry_line(result, _CACHE_KEYS).encode("utf-8")
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         try:
-            os.link(tmp, path)
-        except FileExistsError:
-            pass  # first writer won; keep it
-        except OSError:
-            # no hard links on this filesystem; replace is still atomic
-            if not path.exists():
-                os.replace(tmp, path)
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:  # the shard was removed after it was made
+            os.makedirs(shard, exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
         finally:
-            tmp.unlink(missing_ok=True)
+            os.close(fd)
+        os.replace(tmp, path)
 
 
 def _chunk(words: Sequence[str], size: int) -> list[str]:
@@ -244,52 +256,99 @@ def require_credential(config: BackendConfig) -> str:
     key = os.environ.get(API_KEY_ENV, "")
     if not key:
         raise AuthMissing(f"live backend requires the {API_KEY_ENV} environment variable")
+    # a header line cannot carry anything else, and the refusal a sender
+    # gives for it would quote the key
+    if not (key.isascii() and key.isprintable()):
+        raise AuthMissing(f"{API_KEY_ENV} must be printable ASCII")
     return key
+
+
+@functools.cache
+def _opener(scheme: str):
+    """The process's one URL opener for an endpoint ``scheme``.
+
+    Built on the first live request, so the offline commands never load an
+    HTTP client, and with urllib's default handlers, so the proxy variables
+    are honoured, except that no redirect is followed: urllib would resend
+    the ``Authorization`` header to whatever host a 301/302/303 names, so a
+    3xx is an ``HTTPError`` like any other refused status. For https it
+    holds one TLS context on the system store: by default each connection
+    would load the whole store again.
+    """
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None
+
+    handlers: list = [NoRedirect()]
+    if scheme == "https":
+        import ssl
+
+        context = ssl.create_default_context()
+        handlers.append(urllib.request.HTTPSHandler(context=context))
+    return urllib.request.build_opener(*handlers)
 
 
 def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str:
     """POST the chat-completion request, retrying transient failures.
 
-    Retryable: any ``requests`` exception (timeouts, refused or dropped
-    connections, broken response bodies), HTTP 429 and 5xx. Backoff is
-    ``backoff_base * 2**(attempt-1)`` seconds, so delays never shrink.
-    """
-    # imported here, not at module level: only the live backend sends HTTP,
-    # and every offline command would otherwise pay for loading it
-    import requests
+    Sent with the standard library's ``urllib.request``: one connection per
+    attempt, ``timeout`` on the connect and on each read, proxies taken from
+    the ``HTTP(S)_PROXY`` and ``NO_PROXY`` variables, and TLS verified
+    against the system store (``SSL_CERT_FILE`` overrides it).
 
-    body = {
+    Retryable: HTTP 429 and 5xx, and any ``OSError`` or
+    ``http.client.HTTPException`` (timeouts, refused or dropped connections,
+    broken response bodies). Backoff is ``backoff_base * 2**(attempt-1)``
+    seconds, so delays never shrink. Any other status, a redirect included,
+    is refused at once.
+    """
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request
+
+    from lyrecon import __version__
+
+    data = json.dumps({
         "model": config.model,
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": config.temperature,
         "max_tokens": config.max_output_tokens,
+    }).encode()
+    headers = {
+        "Authorization": f"Bearer {api_key}",
+        "Content-Type": "application/json",
+        # some API fronts refuse urllib's default agent
+        "User-Agent": f"lyrecon/{__version__}",
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
+    opener = _opener(urlsplit(config.endpoint).scheme)
     last_error = "no attempt made"
     for attempt in range(1, config.max_attempts + 1):
         if attempt > 1:
             time.sleep(config.backoff_base * 2 ** (attempt - 2))
+        request = Request(config.endpoint, data, headers, method="POST")
         try:
-            response = requests.post(
-                config.endpoint, json=body, headers=headers, timeout=config.timeout
-            )
-        except requests.RequestException as exc:
+            with opener.open(request, timeout=config.timeout) as response:
+                status, payload = response.status, response.read()
+        except HTTPError as exc:  # a status outside 2xx
+            exc.close()
+            status, payload = exc.code, b""
+        except (OSError, HTTPException) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             continue
-        if response.status_code == 200:
+        if status == 200:
             try:
-                message = response.json()["choices"][0]["message"]
+                message = json.loads(payload)["choices"][0]["message"]
                 return json_fields(message, {"content": str})["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendUnavailable(
                     f"unexpected response shape from {config.endpoint}: {exc}"
                 ) from exc
-        if response.status_code in _RETRYABLE_STATUS or response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
+        if status in _RETRYABLE_STATUS or status >= 500:
+            last_error = f"HTTP {status}"
             continue
-        raise BackendUnavailable(
-            f"backend rejected request: HTTP {response.status_code}"
-        )
+        raise BackendUnavailable(f"backend rejected request: HTTP {status}")
     raise BackendUnavailable(
         f"backend unavailable after {config.max_attempts} attempts (last: {last_error})"
     )

@@ -20,6 +20,7 @@ Every rejected line is reported with its 1-based line number.
 from __future__ import annotations
 
 import io
+import reprlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -167,12 +168,14 @@ def _parse_data_line(line: str, line_no: int, vocab_size: int) -> TrackBow:
     for pair in fields[2:]:
         idx_text, sep, cnt_text = pair.partition(":")
         if not sep:
-            raise MalformedPair(f"pair {pair!r} has no ':'", line_no)
+            raise MalformedPair(f"pair {reprlib.repr(pair)} has no ':'", line_no)
         try:
             index = int(idx_text)
             count = int(cnt_text)
         except ValueError as exc:
-            raise MalformedPair(f"pair {pair!r} is not integer:integer", line_no) from exc
+            raise MalformedPair(
+                f"pair {reprlib.repr(pair)} is not integer:integer", line_no
+            ) from exc
         if not 1 <= index <= vocab_size:
             raise IndexOutOfRange(
                 f"word index {index} outside 1..{vocab_size}", line_no
@@ -223,7 +226,9 @@ def _tracks(lines: Iterator[tuple[int, str]], vocab: VocabTable) -> Iterator[Tra
             raise BowParseError("second vocabulary header", line_no)
         track = _parse_data_line(line, line_no, size)
         if track.track_id in seen_ids:
-            raise DuplicateTrackId(f"track id {track.track_id!r} repeated", line_no)
+            raise DuplicateTrackId(
+                f"track id {reprlib.repr(track.track_id)} repeated", line_no
+            )
         seen_ids.add(track.track_id)
         yield track
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import IO, Container, Iterable, Iterator
 
@@ -166,7 +167,9 @@ def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap, delimiter: str,
             if not track_id:
                 raise EmptyField("empty track id", reader.line_num)
             if track_id in seen:
-                raise DuplicateId(f"track id {track_id!r} repeated", reader.line_num)
+                raise DuplicateId(
+                    f"track id {reprlib.repr(track_id)} repeated", reader.line_num
+                )
             yield reader.line_num, track_id, row
     except csv.Error as exc:
         raise MalformedLine(str(exc), reader.reader.line_num) from exc

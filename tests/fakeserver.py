@@ -1,14 +1,17 @@
 """Instrumented chat-completions endpoint for backend and pipeline tests.
 
 Counts every request, tracks the high-water mark of concurrent in-flight
-requests, records auth headers and bodies, and can be scripted to return a
-fixed sequence of HTTP statuses before settling on 200.
+requests, records headers and bodies, and can be scripted to return a
+fixed sequence of HTTP statuses before settling on 200. With ``raw_reply``
+it writes those bytes in place of the HTTP reply and closes the
+connection, so a test can send a reply cut short, or none at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,12 +23,21 @@ def lyrics_for(prompt_text: str) -> str:
     return f"fake verse {tag}\nsecond line {tag}\n\nfake refrain {tag}\n"
 
 
+def refused_endpoint() -> str:
+    """An endpoint on a local port that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat/completions"
+
+
 class FakeChatServer:
     def __init__(self, script: list[int] | None = None, hold_seconds: float = 0.0,
-                 blank_completion: bool = False):
+                 blank_completion: bool = False, raw_reply: bytes | None = None):
         self.script = list(script or [])
         self.hold_seconds = hold_seconds
         self.blank_completion = blank_completion
+        self.raw_reply = raw_reply
         self.lock = threading.Lock()
         self.requests: list[dict] = []
         self.in_flight = 0
@@ -93,11 +105,15 @@ class FakeChatServer:
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
             status = self.script.pop(0) if self.script else 200
             self.requests.append(
-                {"body": body, "auth": handler.headers.get("Authorization", "")}
+                {"body": body, "headers": handler.headers}
             )
         try:
             if self.hold_seconds:
                 time.sleep(self.hold_seconds)
+            if self.raw_reply is not None:
+                handler.wfile.write(self.raw_reply)
+                handler.close_connection = True
+                return
             if status != 200:
                 handler.send_response(status)
                 handler.send_header("Content-Length", "0")

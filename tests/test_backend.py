@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import lyrecon
 import lyrecon.backend as backend_module
-from fakeserver import FakeChatServer
+from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import write_aligned_fixtures, write_lexicons
 from lyrecon.analysis import segment
 from lyrecon.backend import (
@@ -206,7 +207,9 @@ def test_live_sends_bearer_and_wire_format(api_key):
         config = _live_config(server, temperature=0.3, max_output_tokens=77)
         generate(_prompt(), config, None)
         request = server.requests[0]
-        assert request["auth"] == "Bearer test-key-123"
+        assert request["headers"]["Authorization"] == "Bearer test-key-123"
+        assert request["headers"]["Content-Type"] == "application/json"
+        assert request["headers"]["User-Agent"] == f"lyrecon/{lyrecon.__version__}"
         body = request["body"]
         assert body["model"] == "fake-model"
         assert body["temperature"] == 0.3
@@ -400,28 +403,68 @@ def test_live_model_default_differs_from_mock():
     assert BackendConfig(kind="live", endpoint=live.endpoint, model="m").model == "m"
 
 
-def test_any_requests_exception_ends_as_failed_item(monkeypatch, api_key):
-    import requests
+# id -> bytes the server sends in place of a reply before it closes
+BROKEN_REPLIES = {
+    "cut-mid-body": b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices": [',
+    "closed-before-reply": b"",
+}
 
-    calls = []
 
-    def broken_post(*args, **kwargs):
-        calls.append(args)
-        raise requests.exceptions.ChunkedEncodingError("body cut short")
-
-    # the backend imports requests when it sends, and calls requests.post
-    monkeypatch.setattr(requests, "post", broken_post)
-    config = BackendConfig(
-        kind="live", endpoint="http://127.0.0.1:1/v1", max_attempts=2, backoff_base=0.0
-    )
-    items = run_batch([_prompt()], config, None)
-    assert len(calls) == 2
+@pytest.mark.parametrize("case", BROKEN_REPLIES)
+def test_any_transport_error_ends_as_failed_item(api_key, case):
+    with FakeChatServer(raw_reply=BROKEN_REPLIES[case]) as server:
+        config = _live_config(server, max_attempts=2, backoff_base=0.0)
+        items = run_batch([_prompt()], config, None)
+        assert server.request_count == 2
     assert not items[0].ok
     assert "BackendUnavailable" in items[0].error
-    assert "ChunkedEncodingError" in items[0].error
+    cause = {"cut-mid-body": "IncompleteRead", "closed-before-reply": "RemoteDisconnected"}
+    assert f"(last: {cause[case]}: " in items[0].error
 
 
-def test_offline_commands_never_load_requests(tmp_path):
+def test_live_401_is_one_attempt_and_a_failed_item(api_key):
+    with FakeChatServer(script=[401]) as server:
+        items = run_batch([_prompt()], _live_config(server), None)
+        assert server.request_count == 1
+    assert not items[0].ok
+    assert items[0].error == "BackendUnavailable: backend rejected request: HTTP 401"
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_live_redirect_is_refused_and_never_followed(api_key, status):
+    with FakeChatServer() as elsewhere:
+        reply = (f"HTTP/1.1 {status} Moved\r\nLocation: {elsewhere.endpoint}\r\n"
+                 "Content-Length: 0\r\n\r\n").encode()
+        with FakeChatServer(raw_reply=reply) as server:
+            items = run_batch([_prompt()], _live_config(server), None)
+            assert server.request_count == 1
+        # the key would go with the request to the host the redirect names
+        assert elsewhere.request_count == 0
+    assert not items[0].ok
+    assert items[0].error == f"BackendUnavailable: backend rejected request: HTTP {status}"
+
+
+def test_live_200_that_is_not_json_is_an_unexpected_shape(api_key):
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!"
+    with FakeChatServer(raw_reply=reply) as server:
+        with pytest.raises(BackendUnavailable, match="unexpected response shape"):
+            generate(_prompt(), _live_config(server), None)
+        assert server.request_count == 1
+
+
+def test_refused_endpoint_is_tried_max_attempts_times(monkeypatch, api_key):
+    delays: list[float] = []
+    monkeypatch.setattr(backend_module.time, "sleep", delays.append)
+    config = BackendConfig(kind="live", endpoint=refused_endpoint(),
+                           max_attempts=4, backoff_base=0.5)
+    items = run_batch([_prompt()], config, None)
+    assert delays == [0.5, 1.0, 2.0]  # one before each attempt after the first
+    assert not items[0].ok
+    assert "after 4 attempts (last: URLError: " in items[0].error
+    assert "refused" in items[0].error
+
+
+def test_offline_commands_never_load_an_http_client(tmp_path):
     paths = write_aligned_fixtures(tmp_path / "data", 6, seed=2)
     abstract, concrete = write_lexicons(tmp_path / "lex")
     records, corpus = tmp_path / "records.jsonl", tmp_path / "corpus.jsonl"
@@ -435,11 +478,12 @@ def test_offline_commands_never_load_requests(tmp_path):
         ["report", "--left", stats / "stats.json", "--right", stats / "stats_reference.json",
          "-o", tmp_path / "report"],
     ]
-    # a fresh interpreter: this one has loaded requests for the live tests
+    # a fresh interpreter: this one has sent HTTP for the live tests
     script = ("import json, sys\n"
               "from lyrecon import cli\n"
               "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-              "print(json.dumps([codes, 'requests' in sys.modules]))\n")
+              "loaded = ['http.client', 'urllib.request', 'requests']\n"
+              "print(json.dumps([codes, [m for m in loaded if m in sys.modules]]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"),
@@ -450,4 +494,4 @@ def test_offline_commands_never_load_requests(tmp_path):
     )
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert loaded is False
+    assert loaded == []

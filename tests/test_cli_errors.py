@@ -278,6 +278,37 @@ def test_a_long_bad_value_is_echoed_cut_short(pristine, tmp_path, capsys, key):
     assert len(err) - len(named) < 100, err
 
 
+LONG_ID = "T" * 600
+
+# id -> (input file, a change to its lines that the join refuses, line blamed)
+LONG_INPUTS = {
+    "bow-pair-not-integer": (
+        "bow.txt", lambda lines: [lines[0], lines[1] + ",1:" + "9" * 600 + "x", *lines[2:]], 2),
+    "bow-pair-without-colon": (
+        "bow.txt", lambda lines: [lines[0], lines[1] + "," + "9" * 600, *lines[2:]], 2),
+    "bow-id-repeated": (
+        "bow.txt", lambda lines: [lines[0], *[f"{LONG_ID},S,1:1"] * 2, *lines[1:]], 3),
+    "mood-id-repeated": (
+        "mood.csv", lambda lines: [lines[0], *[f"{LONG_ID},0.5,0.5"] * 2, *lines[1:]], 3),
+    "meta-id-repeated": (
+        "meta.csv", lambda lines: [lines[0], *[f"{LONG_ID},A,B"] * 2, *lines[1:]], 3),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_a_long_bad_input_is_echoed_cut_short(pristine, tmp_path, capsys, case):
+    name, damage, line_no = LONG_INPUTS[case]
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+    (tmp_path / name).write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(_argv("join", tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lyrecon: error: {tmp_path / name}: line {line_no}: "), err
+    assert err.count("\n") == 1
+    assert len(err) < 200, err
+
+
 BOW_TRACKS = 500  # line 1 is the header, lines 2 to 501 the tracks
 
 # id -> (the damage to the BoW's lines, the line blamed)

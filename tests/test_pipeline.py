@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fakeserver import FakeChatServer
+from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import backend as be
 from lyrecon import cli
@@ -457,6 +458,60 @@ def test_reconstruct_live_rerun_uses_cache_only(tmp_path, monkeypatch):
                          "-o", str(out_b), *base]) == 0
         assert server.requests_since_mark == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+API_KEY = "sk-test-4f2a9c17"
+
+# id -> the fake server's arguments for a run in which every track fails
+FAILING_SERVERS = {
+    "http-401": {"script": [401] * 10},
+    "http-503": {"script": [503] * 10},
+    "cut-mid-body": {"raw_reply": b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{"},
+    "not-json": {"raw_reply": b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!"},
+    "refused": None,
+}
+
+
+@pytest.mark.parametrize("case", FAILING_SERVERS)
+def test_live_failures_never_show_the_api_key(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.setenv("LYRECON_API_KEY", API_KEY)
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    spec = FAILING_SERVERS[case]
+    with contextlib.ExitStack() as stack:
+        endpoint = (refused_endpoint() if spec is None
+                    else stack.enter_context(FakeChatServer(**spec)).endpoint)
+        capsys.readouterr()
+        code = cli.main([
+            "reconstruct", "--records", str(records), "-o", str(out),
+            "--backend", "live", "--endpoint", endpoint,
+            "--max-attempts", "2", "--backoff-base", "0.001",
+        ])
+    assert code == 4
+    shown = capsys.readouterr()
+    manifest = Path(f"{out}.manifest").read_text(encoding="utf-8")
+    assert manifest.count('"failed"') == 3
+    assert shown.err.count("lyrecon: failed ") == 3
+    for text in (shown.out, shown.err, manifest):
+        assert API_KEY not in text
+
+
+def test_live_key_a_header_cannot_carry_exits_2_unquoted(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LYRECON_API_KEY", API_KEY + "\r\nX-Other: 1")
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+    with FakeChatServer() as server:
+        capsys.readouterr()
+        code = cli.main([
+            "reconstruct", "--records", str(records), "-o", str(out),
+            "--backend", "live", "--endpoint", server.endpoint,
+        ])
+        assert server.request_count == 0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "lyrecon: error: LYRECON_API_KEY must be printable ASCII\n"
+    assert not out.exists()
+    assert not Path(f"{out}.manifest").exists()
 
 
 # --- evaluate / report ------------------------------------------------------
