@@ -7,11 +7,11 @@ retries, and evaluate the resulting corpus with set-level statistics and
 BoW-fidelity metrics.
 """
 
-from lyrecon.analysis import Lexicon, LyricDoc, lexicon_ratio, load_lexicon, ngrams, segment, stem, tokenize
+from lyrecon.analysis import Lexicon, LyricDoc, load_lexicon, segment, stem, tokenize
 from lyrecon.backend import BackendConfig, LyricsCache, cache_key, generate, mock_generate, run_batch
 from lyrecon.bow import BowCorpus, TrackBow, VocabTable, iter_bow, load_bow, ordered_vocabulary, serialize_bow
 from lyrecon.errors import LyreconError
-from lyrecon.evaluation import CorpusStats, bow_coverage, compare, corpus_stats, frequency_fidelity
+from lyrecon.evaluation import CorpusStats, bow_coverage, compare, corpus_stats, frequency_fidelity, stem_counts
 from lyrecon.metadata import (
     ColumnMap,
     GenreTags,

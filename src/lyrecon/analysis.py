@@ -23,9 +23,7 @@ __all__ = [
     "EmptyLexicon",
     "Lexicon",
     "LyricDoc",
-    "lexicon_ratio",
     "load_lexicon",
-    "ngrams",
     "segment",
     "stem",
     "tokenize",
@@ -53,14 +51,9 @@ class LyricDoc:
     holds the per-line token lists from :func:`tokenize`.
     """
 
-    raw: str
     lines: tuple[str, ...]
     sections: tuple[tuple[int, int], ...]
     tokens: tuple[tuple[str, ...], ...] = field(repr=False)
-
-    @property
-    def word_count(self) -> int:
-        return sum(len(line) for line in self.tokens)
 
     @property
     def line_count(self) -> int:
@@ -69,10 +62,6 @@ class LyricDoc:
     @property
     def section_count(self) -> int:
         return len(self.sections)
-
-    def token_stream(self) -> Iterable[str]:
-        for line in self.tokens:
-            yield from line
 
 
 def segment(text: str) -> LyricDoc:
@@ -96,23 +85,10 @@ def segment(text: str) -> LyricDoc:
     if section_start is not None:
         sections.append((section_start, len(lines)))
     return LyricDoc(
-        raw=text,
         lines=tuple(lines),
         sections=tuple(sections),
         tokens=tuple(tuple(tokenize(line)) for line in lines),
     )
-
-
-def ngrams(tokens: Iterable[str], n: int) -> list[tuple[str, ...]]:
-    """Sliding n-token windows over one line's token list.
-
-    Returns ``max(0, len(tokens) - n + 1)`` tuples. Callers that want
-    corpus-level counts apply this per line; windows never span lines.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    toks = list(tokens)
-    return [tuple(toks[i : i + n]) for i in range(len(toks) - n + 1)]
 
 
 @dataclass(frozen=True)
@@ -153,18 +129,3 @@ def load_lexicon(source: Path | str | Iterable[str], name: str | None = None) ->
         words.add(entry.lower())
     return Lexicon(name=name, words=frozenset(words))
 
-
-def lexicon_ratio(tokens: Iterable[str], lexicon: Lexicon) -> float:
-    """Percentage of tokens that belong to the lexicon, in [0, 100].
-
-    An empty token list scores 0.
-    """
-    total = 0
-    hits = 0
-    for tok in tokens:
-        total += 1
-        if tok in lexicon.words:
-            hits += 1
-    if total == 0:
-        return 0.0
-    return 100.0 * hits / total

@@ -89,12 +89,6 @@ class VocabTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    def word(self, index: int) -> str:
-        """Word at a 1-based index."""
-        if not 1 <= index <= len(self.words):
-            raise IndexOutOfRange(f"word index {index} outside 1..{len(self.words)}")
-        return self.words[index - 1]
-
 
 @dataclass(frozen=True)
 class TrackBow:

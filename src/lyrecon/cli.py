@@ -77,17 +77,24 @@ def _reading(path: Path | str) -> typing.Iterator[None]:
 
 # --- join -------------------------------------------------------------------
 
+def _column_map(flag: str, text: str) -> md.ColumnMap:
+    try:
+        return md.ColumnMap.parse(text)
+    except ValueError as exc:
+        raise LyreconError(f"{flag}: {exc}") from exc
+
+
 def cmd_join(args: argparse.Namespace) -> int:
+    mood_columns = _column_map("--mood-columns", args.mood_columns)
+    meta_columns = _column_map("--meta-columns", args.meta_columns)
     mood_table = mood_mod.default_mood_table()
     if args.mood_table:
         with _reading(args.mood_table):
             mood_table = mood_mod.load_mood_table(args.mood_table)
     stages = [
-        ("mood", args.mood,
-         lambda fh: md.parse_mood_csv(fh, md.ColumnMap.parse(args.mood_columns))),
+        ("mood", args.mood, lambda fh: md.parse_mood_csv(fh, mood_columns)),
         ("genres", args.genres, lambda fh: md.parse_genre_table(fh)),
-        ("meta", args.meta,
-         lambda fh: md.parse_track_meta(fh, md.ColumnMap.parse(args.meta_columns))),
+        ("meta", args.meta, lambda fh: md.parse_track_meta(fh, meta_columns)),
     ]
     parsed = {}
     for name, path, parse in stages:
@@ -258,10 +265,11 @@ class _FidelityTable:
         track = self.tracks.get(track_id)
         if track is None:
             return
-        coverage = ev.bow_coverage(doc, track, self.vocab, self.stems)
+        doc_stems = ev.stem_counts(doc, self.stems)
+        coverage = ev.bow_coverage(doc_stems, track, self.vocab)
         self.coverages.append(coverage)
         try:
-            rho = ev.frequency_fidelity(doc, track, self.vocab, self.stems)
+            rho = ev.frequency_fidelity(doc_stems, track, self.vocab)
             self.correlations.append(rho)
             rho_text = f"{rho:.6f}"
         except ev.InsufficientOverlap:

@@ -14,11 +14,11 @@ Fidelity metrics tie generated text back to its BoW source: coverage is
 the fraction of a track's vocabulary whose words appear among the stemmed
 document tokens, and frequency fidelity is the Spearman rank correlation
 (average ranks for ties) between BoW counts and stemmed-token counts over
-the covered intersection. Both take an optional ``stems`` dict that
-memoises token -> stem; ``evaluate`` passes one per run, so each distinct
-token type is stemmed once however many documents contain it. Coverage and
-fidelity of the same doc share one stemmed count, so a doc scored for both
-is counted once.
+the covered intersection. Both read a doc's stemmed-token counts from
+:func:`stem_counts`, so a doc scored for both is counted once, by the
+caller. Its optional ``stems`` dict memoises token -> stem; ``evaluate``
+passes one per run, so each distinct token type is stemmed once however
+many documents contain it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "render_comparison_text",
     "render_comparison_tsv",
     "render_stats_text",
+    "stem_counts",
 ]
 
 
@@ -122,7 +123,6 @@ def corpus_stats(
     words = sum(tokens.values())
 
     def ratio(lexicon: Lexicon) -> float:
-        # same value as analysis.lexicon_ratio over the pooled tokens
         hits = sum(tokens[w] for w in lexicon.words)
         return 100.0 * hits / words if words else 0.0
 
@@ -139,34 +139,20 @@ def corpus_stats(
     )
 
 
-# the doc counted last and its count: coverage and fidelity of one doc share
-# it. Keyed by identity (a LyricDoc hashes by content) and holding the doc,
-# so no other doc can match it, whichever caller came before.
-_last_count: tuple[LyricDoc | None, Counter[str]] = (None, Counter())
-
-
-def _doc_stem_counts(doc: LyricDoc, stems: dict[str, str] | None) -> Counter[str]:
-    """Stemmed-token counts; ``stems`` memoises token -> stem across calls."""
-    global _last_count
-    last_doc, counts = _last_count
-    if doc is last_doc:
-        return counts
+def stem_counts(doc: LyricDoc, stems: dict[str, str] | None = None) -> Counter[str]:
+    """Stemmed-token counts of a doc; ``stems`` memoises token -> stem
+    across calls."""
     if stems is None:
         stems = {}
     tokens = list(chain.from_iterable(doc.tokens))
     for token in set(tokens).difference(stems):
         stems[token] = stem(token)
-    counts = Counter(map(stems.__getitem__, tokens))
-    _last_count = (doc, counts)
-    return counts
+    return Counter(map(stems.__getitem__, tokens))
 
 
-def bow_coverage(
-    doc: LyricDoc, track: TrackBow, vocab: VocabTable,
-    stems: dict[str, str] | None = None,
-) -> float:
-    """Fraction of the track's vocabulary found among stemmed doc tokens."""
-    doc_stems = _doc_stem_counts(doc, stems)
+def bow_coverage(doc_stems: Counter[str], track: TrackBow, vocab: VocabTable) -> float:
+    """Fraction of the track's vocabulary found among a doc's stems, as
+    counted by :func:`stem_counts`."""
     # indexed directly: every index was range-checked when the BoW was parsed
     words = vocab.words
     covered = sum(1 for index in track.counts if words[index - 1] in doc_stems)
@@ -203,24 +189,21 @@ def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / (var_x * var_y) ** 0.5
 
 
-def frequency_fidelity(
-    doc: LyricDoc, track: TrackBow, vocab: VocabTable,
-    stems: dict[str, str] | None = None,
-) -> float:
-    """Spearman correlation of BoW counts vs stemmed-token counts.
+def frequency_fidelity(doc_stems: Counter[str], track: TrackBow, vocab: VocabTable) -> float:
+    """Spearman correlation of BoW counts vs a doc's stem counts from
+    :func:`stem_counts`.
 
     Computed over the vocabulary words that actually occur in the doc;
     fewer than two such words leaves the correlation undefined.
     """
-    doc_counts = _doc_stem_counts(doc, stems)
     bow_counts: list[float] = []
     text_counts: list[float] = []
     words = vocab.words
     for index, count in track.counts.items():
         word = words[index - 1]
-        if doc_counts[word] > 0:
+        if doc_stems[word] > 0:
             bow_counts.append(float(count))
-            text_counts.append(float(doc_counts[word]))
+            text_counts.append(float(doc_stems[word]))
     if len(bow_counts) < 2:
         raise InsufficientOverlap(
             f"only {len(bow_counts)} vocabulary word(s) appear in the doc"

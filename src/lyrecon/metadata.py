@@ -2,10 +2,10 @@
 
 Three side tables accompany a BoW corpus:
 
-* a mood table (delimited, headered) with valence and arousal columns,
+* a mood table (headered CSV) with valence and arousal columns,
 * a genre table (headerless TSV, ``track_id<TAB>genre``, one pair per
   line, multiple lines per track accumulate),
-* an artist/title table (delimited, headered).
+* an artist/title table (headered CSV).
 
 Column names are configuration (:class:`ColumnMap`), not hardcoded,
 because the upstream datasets do not share a schema. Track-id matching is
@@ -150,18 +150,19 @@ class JoinReport:
         )
 
 
-def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap, delimiter: str,
+def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap,
           seen: Container[str]) -> Iterator[tuple[int, str, dict]]:
     """(line number, track id, row) per data row of a headered table; an
     empty id, one in ``seen`` or a line the CSV reader rejects raises."""
-    reader = csv.DictReader(stream, delimiter=delimiter, skipinitialspace=True)
+    reader = csv.DictReader(stream, skipinitialspace=True)
     try:
         header = reader.fieldnames
         if header is None:
             raise MissingColumn("empty table: no header row")
         for name in (columns.id_column, *columns.value_columns):
             if name not in header:
-                raise MissingColumn(f"column {name!r} not in header {header}")
+                raise MissingColumn(
+                    f"column {reprlib.repr(name)} not in header {reprlib.repr(header)}")
         for row in reader:
             track_id = (row[columns.id_column] or "").strip()
             if not track_id:
@@ -178,24 +179,24 @@ def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap, delimiter: str,
 def parse_mood_csv(
     stream: Iterable[str] | IO[str],
     columns: ColumnMap = MOOD_COLUMNS,
-    delimiter: str = ",",
 ) -> dict[str, MoodPoint]:
-    """Parse per-track valence/arousal scores from a headered table."""
+    """Parse per-track valence/arousal scores from a headered CSV table."""
     val_col, aro_col = columns.value_columns
     points: dict[str, MoodPoint] = {}
-    for line_no, track_id, row in _rows(stream, columns, delimiter, points):
+    for line_no, track_id, row in _rows(stream, columns, points):
         try:
             valence = float(row[val_col])
             arousal = float(row[aro_col])
         except (TypeError, ValueError) as exc:
             raise NonNumericValue(
-                f"track {track_id}: valence/arousal not numeric", line_no
+                f"track {reprlib.repr(track_id)}: valence/arousal not numeric", line_no
             ) from exc
         if not (math.isfinite(valence) and math.isfinite(arousal)):
-            raise NonNumericValue(f"track {track_id}: non-finite value", line_no)
+            raise NonNumericValue(
+                f"track {reprlib.repr(track_id)}: non-finite value", line_no)
         if valence == 0.0 and arousal == 0.0:
             raise ZeroMoodVector(
-                f"track {track_id}: zero mood vector has no angle", line_no
+                f"track {reprlib.repr(track_id)}: zero mood vector has no angle", line_no
             )
         points[track_id] = MoodPoint(valence=valence, arousal=arousal)
     return points
@@ -208,18 +209,17 @@ parse_mood_table = parse_mood_csv
 def parse_track_meta(
     stream: Iterable[str] | IO[str],
     columns: ColumnMap = META_COLUMNS,
-    delimiter: str = ",",
 ) -> dict[str, TrackMeta]:
-    """Parse per-track artist and title from a headered table."""
+    """Parse per-track artist and title from a headered CSV table."""
     artist_col, title_col = columns.value_columns
     metas: dict[str, TrackMeta] = {}
-    for line_no, track_id, row in _rows(stream, columns, delimiter, metas):
+    for line_no, track_id, row in _rows(stream, columns, metas):
         artist = (row[artist_col] or "").strip()
         title = (row[title_col] or "").strip()
         if not artist:
-            raise EmptyField(f"track {track_id}: empty artist", line_no)
+            raise EmptyField(f"track {reprlib.repr(track_id)}: empty artist", line_no)
         if not title:
-            raise EmptyField(f"track {track_id}: empty title", line_no)
+            raise EmptyField(f"track {reprlib.repr(track_id)}: empty title", line_no)
         metas[track_id] = TrackMeta(track_id=track_id, artist=artist, title=title)
     return metas
 
@@ -245,7 +245,7 @@ def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, GenreTags]:
         if not track_id:
             raise MalformedLine("empty track id", line_no)
         if not genre:
-            raise EmptyGenre(f"track {track_id}: empty genre", line_no)
+            raise EmptyGenre(f"track {reprlib.repr(track_id)}: empty genre", line_no)
         bucket = tags.setdefault(track_id, [])
         if genre not in bucket:
             bucket.append(genre)

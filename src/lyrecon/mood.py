@@ -14,6 +14,7 @@ whose start exceeds its end wraps through zero. ``#`` starts a comment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -185,15 +186,8 @@ def load_mood_table(path: Path | str) -> MoodTable:
     return parse_mood_table(Path(path).read_text(encoding="utf-8").splitlines())
 
 
-_default_table: MoodTable | None = None
-
-
+@functools.cache
 def default_mood_table() -> MoodTable:
     """The packaged eight-octant table (see data/mood_octants.txt)."""
-    global _default_table
-    if _default_table is None:
-        text = (
-            resources.files("lyrecon").joinpath("data/mood_octants.txt").read_text("utf-8")
-        )
-        _default_table = parse_mood_table(text.splitlines())
-    return _default_table
+    text = resources.files("lyrecon").joinpath("data/mood_octants.txt").read_text("utf-8")
+    return parse_mood_table(text.splitlines())

@@ -156,14 +156,18 @@ def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
         )
     except ValueError as exc:
         raise RecordsFormatError(f"bad record object: {exc}", line_no) from exc
-    if not record.tags or not record.vocabulary:
+    # `"" in` scans the tuple in C, not in a Python loop over the words
+    if (not record.tags or not record.vocabulary
+            or "" in record.tags or "" in record.vocabulary):
         raise RecordsFormatError(
-            f"track {record.track_id}: needs genre tags and vocabulary words",
+            f"track {reprlib.repr(record.track_id)}: needs genre tags and vocabulary "
+            "words, none of them empty",
             line_no,
         )
     if not math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9):
         raise RecordsFormatError(
-            f"track {record.track_id}: stored theta does not match valence/arousal",
+            f"track {reprlib.repr(record.track_id)}: stored theta does not match "
+            "valence/arousal",
             line_no,
         )
     return record
@@ -189,7 +193,7 @@ def read_records(path: Path | str) -> list[ReconstructionRecord]:
             record = _record_from_dict(data, line_no)
             if record.track_id in seen:
                 raise RecordsFormatError(
-                    f"track id {record.track_id!r} repeated", line_no
+                    f"track id {reprlib.repr(record.track_id)} repeated", line_no
                 )
             seen.add(record.track_id)
             records.append(record)

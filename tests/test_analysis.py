@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from lyrecon.analysis import (
     EmptyLexicon,
     Lexicon,
-    lexicon_ratio,
     load_lexicon,
-    ngrams,
     segment,
     tokenize,
 )
@@ -75,48 +73,7 @@ def test_sections_cover_lines_disjointly():
     assert all(end > start for start, end in doc.sections)
 
 
-def test_word_count_sums_line_tokens():
-    doc = segment("one two\nthree\n\nfour five six")
-    assert doc.word_count == 6
-    assert list(doc.token_stream()) == ["one", "two", "three", "four", "five", "six"]
-
-
-# --- ngrams -----------------------------------------------------------------
-
-def test_ngram_examples():
-    assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-    assert ngrams(["a"], 2) == []
-    assert ngrams(["a", "a", "a"], 3) == [("a", "a", "a")]
-
-
-def test_ngram_n_must_be_positive():
-    with pytest.raises(ValueError):
-        ngrams(["a"], 0)
-
-
-@given(st.lists(st.text(alphabet="ab", min_size=1, max_size=2)), st.integers(1, 6))
-def test_ngram_count_formula(tokens, n):
-    assert len(ngrams(tokens, n)) == max(0, len(tokens) - n + 1)
-
-
 # --- lexicons ---------------------------------------------------------------
-
-def test_lexicon_ratio_direct_count():
-    lex = Lexicon(name="x", words=frozenset({"love"}))
-    assert lexicon_ratio(["love", "war", "love"], lex) == pytest.approx(
-        66.67, abs=0.01
-    )
-
-
-def test_lexicon_ratio_no_members():
-    lex = Lexicon(name="x", words=frozenset({"love"}))
-    assert lexicon_ratio(["war", "peace"], lex) == 0.0
-
-
-def test_lexicon_ratio_empty_tokens():
-    lex = Lexicon(name="x", words=frozenset({"love"}))
-    assert lexicon_ratio([], lex) == 0.0
-
 
 def test_empty_lexicon_rejected():
     with pytest.raises(EmptyLexicon):

@@ -27,7 +27,7 @@ from lyrecon.backend import (
     run_batch,
 )
 from lyrecon.bow import TrackBow, VocabTable
-from lyrecon.evaluation import bow_coverage
+from lyrecon.evaluation import bow_coverage, stem_counts
 from lyrecon.pipeline import CorpusEntry
 from lyrecon.prompt import Prompt, PromptFields
 
@@ -83,7 +83,7 @@ def test_mock_contract():
     lyrics = mock_generate(prompt)
     doc = segment(lyrics)
     assert doc.section_count >= 2
-    tokens = set(doc.token_stream())
+    tokens = {token for line in doc.tokens for token in line}
     assert {"love", "night", "fire"} <= tokens
     assert mock_generate(_prompt()) == lyrics  # pure function of the prompt
 
@@ -93,7 +93,7 @@ def test_mock_coverage_is_total():
     doc = segment(mock_generate(prompt))
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
     vocab = VocabTable(words=("night", "fire", "stone"))
-    assert bow_coverage(doc, track, vocab) == 1.0
+    assert bow_coverage(stem_counts(doc), track, vocab) == 1.0
 
 
 def test_generate_mock_uses_cache(tmp_path):

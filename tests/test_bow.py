@@ -188,11 +188,11 @@ def test_round_trip_is_identity(corpus):
 def test_ordered_vocabulary_is_sorted_permutation(corpus):
     for track in corpus.tracks:
         ordered = ordered_vocabulary(track, corpus.vocab)
-        expected_words = {corpus.vocab.word(i) for i in track.counts}
+        expected_words = {corpus.vocab.words[i - 1] for i in track.counts}
         assert set(ordered) == expected_words
         assert len(ordered) == len(track.counts)
         counts_by_word = {
-            corpus.vocab.word(i): c for i, c in track.counts.items()
+            corpus.vocab.words[i - 1]: c for i, c in track.counts.items()
         }
         run = [counts_by_word[w] for w in ordered]
         assert all(a >= b for a, b in zip(run, run[1:]))

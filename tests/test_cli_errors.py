@@ -227,6 +227,16 @@ EXPLICIT = {
     "records-tags-element-null": (
         _edit_line("records.jsonl", 3, lambda d: {**d, "tags": [*d["tags"], None]}),
         "reconstruct", [], "records.jsonl", ": line 3: bad record object: tags["),
+    "records-vocabulary-word-empty": (
+        _edit_line("records.jsonl", 2, lambda d: {**d, "vocabulary": [""]}),
+        "reconstruct", [], "records.jsonl",
+        ": line 2: track 'TRFIX00001X128F': needs genre tags and vocabulary words, "
+        "none of them empty\n"),
+    "records-tag-empty": (
+        _edit_line("records.jsonl", 3, lambda d: {**d, "tags": [*d["tags"], ""]}),
+        "reconstruct", [], "records.jsonl",
+        ": line 3: track 'TRFIX00002X128F': needs genre tags and vocabulary words, "
+        "none of them empty\n"),
     "records-valence-as-text": (
         _edit_line("records.jsonl", 4, lambda d: {**d, "valence": str(d["valence"])}),
         "reconstruct", [], "records.jsonl", ": line 4: bad record object: valence"),
@@ -280,7 +290,13 @@ def test_a_long_bad_value_is_echoed_cut_short(pristine, tmp_path, capsys, key):
 
 LONG_ID = "T" * 600
 
-# id -> (input file, a change to its lines that the join refuses, line blamed)
+
+def _long_id_record(line: str, **fields) -> str:
+    return json.dumps({**json.loads(line), "track_id": LONG_ID, **fields})
+
+
+# id -> (input file, a change to its lines that the command reading the file
+# refuses, the line blamed or None for the file as a whole)
 LONG_INPUTS = {
     "bow-pair-not-integer": (
         "bow.txt", lambda lines: [lines[0], lines[1] + ",1:" + "9" * 600 + "x", *lines[2:]], 2),
@@ -292,6 +308,21 @@ LONG_INPUTS = {
         "mood.csv", lambda lines: [lines[0], *[f"{LONG_ID},0.5,0.5"] * 2, *lines[1:]], 3),
     "meta-id-repeated": (
         "meta.csv", lambda lines: [lines[0], *[f"{LONG_ID},A,B"] * 2, *lines[1:]], 3),
+    "meta-id-with-empty-artist": (
+        "meta.csv", lambda lines: [lines[0], f"{LONG_ID},,B", *lines[1:]], 2),
+    "mood-id-with-text-valence": (
+        "mood.csv", lambda lines: [lines[0], f"{LONG_ID},x,0.5", *lines[1:]], 2),
+    "mood-header-without-arousal": (
+        "mood.csv",
+        lambda lines: ["track_id,valence," + ",".join(f"c{i}" for i in range(200)),
+                       *lines[1:]], None),
+    "genre-id-with-empty-genre": (
+        "genres.tsv", lambda lines: [f"{LONG_ID}\t ", *lines], 1),
+    "records-id-without-vocabulary": (
+        "records.jsonl",
+        lambda lines: [_long_id_record(lines[0], vocabulary=[]), *lines[1:]], 1),
+    "records-id-repeated": (
+        "records.jsonl", lambda lines: [*[_long_id_record(lines[0])] * 2, *lines[1:]], 2),
 }
 
 
@@ -302,11 +333,21 @@ def test_a_long_bad_input_is_echoed_cut_short(pristine, tmp_path, capsys, case):
     lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
     (tmp_path / name).write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert cli.main(_argv("join", tmp_path)) == 2
+    command = INPUTS[name][0][0]
+    assert cli.main(_argv(command, tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"lyrecon: error: {tmp_path / name}: line {line_no}: "), err
+    where = f"line {line_no}: " if line_no else ""
+    assert err.startswith(f"lyrecon: error: {tmp_path / name}: {where}"), err
     assert err.count("\n") == 1
     assert len(err) < 200, err
+
+
+@pytest.mark.parametrize("flag", ["--mood-columns", "--meta-columns"])
+def test_a_bad_column_map_is_blamed_on_its_flag(tmp_path, capsys, flag):
+    # no input file exists: the flag is read before any of them is opened
+    argv = _argv("join", tmp_path) + [flag, "id,v"]
+    blamed = f"{flag}: column map must be 'id,first,second', got 'id,v'\n"
+    assert _check(argv, blamed, capsys) == 2
 
 
 BOW_TRACKS = 500  # line 1 is the header, lines 2 to 501 the tracks

@@ -22,6 +22,7 @@ from lyrecon.evaluation import (
     render_comparison_text,
     render_comparison_tsv,
     render_stats_text,
+    stem_counts,
 )
 from oracle_stats import naive_stats
 
@@ -159,60 +160,62 @@ def test_empty_stream_rejected():
 VOCAB = VocabTable(words=("night", "fire", "stone", "glass"))
 
 
+def _stems(text):
+    return stem_counts(segment(text))
+
+
 def test_coverage_full_and_empty():
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
-    assert bow_coverage(segment("night fire\nnight"), track, VOCAB) == 1.0
-    assert bow_coverage(segment("nothing shared here"), track, VOCAB) == 0.0
+    assert bow_coverage(_stems("night fire\nnight"), track, VOCAB) == 1.0
+    assert bow_coverage(_stems("nothing shared here"), track, VOCAB) == 0.0
 
 
 def test_coverage_through_stemming():
     vocab = VocabTable(words=("run",))
     track = TrackBow(track_id="T", source_id="", counts={1: 2})
-    assert bow_coverage(segment("running wild tonight"), track, vocab) == 1.0
+    assert bow_coverage(_stems("running wild tonight"), track, vocab) == 1.0
 
 
 def test_coverage_monotone_under_append():
     track = TrackBow(track_id="T", source_id="", counts={1: 1, 2: 1, 3: 1})
     base = "night night"
     additions = ["", "\nfire", "\nfire stone", "\nunrelated words"]
-    doc_base = bow_coverage(segment(base), track, VOCAB)
+    doc_base = bow_coverage(_stems(base), track, VOCAB)
     for extra in additions:
-        assert bow_coverage(segment(base + extra), track, VOCAB) >= doc_base
+        assert bow_coverage(_stems(base + extra), track, VOCAB) >= doc_base
 
 
 def test_fidelity_exact_reproduction():
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
-    doc = segment("night night\nnight fire")
-    assert frequency_fidelity(doc, track, VOCAB) == 1.0
+    assert frequency_fidelity(_stems("night night\nnight fire"), track, VOCAB) == 1.0
 
 
 def test_fidelity_reversed_order():
     track = TrackBow(track_id="T", source_id="", counts={1: 5, 2: 1})
-    doc = segment("fire fire fire\nnight")
-    assert frequency_fidelity(doc, track, VOCAB) == -1.0
+    assert frequency_fidelity(_stems("fire fire fire\nnight"), track, VOCAB) == -1.0
 
 
 def test_fidelity_hand_computed_tie_case():
     # BoW counts 10,5,5,1 vs doc counts 4,3,2,1; x-ranks (4, 2.5, 2.5, 1),
     # y-ranks (4, 3, 2, 1): rho = 4.5 / sqrt(4.5 * 5.0) = 3 / sqrt(10)
     track = TrackBow(track_id="T", source_id="", counts={1: 10, 2: 5, 3: 5, 4: 1})
-    doc = segment(
+    doc_stems = _stems(
         "night night night night\nfire fire fire\nstone stone\nglass"
     )
-    rho = frequency_fidelity(doc, track, VOCAB)
+    rho = frequency_fidelity(doc_stems, track, VOCAB)
     assert rho == pytest.approx(0.9486832980505138, abs=1e-12)
 
 
 def test_fidelity_needs_two_overlapping_words():
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
     with pytest.raises(InsufficientOverlap):
-        frequency_fidelity(segment("night alone words"), track, VOCAB)
+        frequency_fidelity(_stems("night alone words"), track, VOCAB)
 
 
 def test_fidelity_constant_ranks_undefined():
     track = TrackBow(track_id="T", source_id="", counts={1: 2, 2: 2})
     with pytest.raises(InsufficientOverlap):
-        frequency_fidelity(segment("night fire"), track, VOCAB)
+        frequency_fidelity(_stems("night fire"), track, VOCAB)
 
 
 def test_each_token_type_is_stemmed_once(monkeypatch):
@@ -225,11 +228,9 @@ def test_each_token_type_is_stemmed_once(monkeypatch):
     monkeypatch.setattr(evaluation, "stem", counting_stem)
     docs = [segment("night night fire\nnight stone"),
             segment("fire fire night\n\nglass night stone")]
-    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
     stems: dict[str, str] = {}
     for doc in docs:
-        bow_coverage(doc, track, VOCAB, stems)
-        frequency_fidelity(doc, track, VOCAB, stems)
+        stem_counts(doc, stems)
     assert calls == Counter({"night": 1, "fire": 1, "stone": 1, "glass": 1})
 
 
@@ -246,24 +247,27 @@ def test_coverage_and_fidelity_of_a_doc_share_one_stem_count(monkeypatch):
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
     for doc in docs:
         # no memo: a count stems each of the doc's token types once
-        bow_coverage(doc, track, VOCAB)
-        frequency_fidelity(doc, track, VOCAB)
+        doc_stems = stem_counts(doc)
+        bow_coverage(doc_stems, track, VOCAB)
+        frequency_fidelity(doc_stems, track, VOCAB)
     assert calls == Counter({"night": 2, "fire": 2, "stone": 2, "glass": 1})
 
 
 def test_memoised_stems_match_porter_on_rule_words():
     doc = segment("running runs run\ncaresses caress\nhappiness\n"
                   "relational relational relational relational")
-    assert Counter(porter.stem(t) for t in doc.token_stream()) == Counter(
+    tokens = [token for line in doc.tokens for token in line]
+    assert Counter(map(porter.stem, tokens)) == Counter(
         {"run": 3, "caress": 2, "happi": 1, "relat": 4})
     vocab = VocabTable(words=("run", "caress", "happi", "relat"))
     # BoW ranks (4, 3, 1, 2) against text ranks (3, 2, 1, 4): rho = 1 - 6*6/60
     track = TrackBow(track_id="T", source_id="", counts={1: 4, 2: 3, 3: 1, 4: 2})
     stems: dict[str, str] = {}
     for _ in range(2):  # the second pass reads every stem from the memo
-        assert bow_coverage(doc, track, vocab, stems) == 1.0
-        assert frequency_fidelity(doc, track, vocab, stems) == pytest.approx(0.4, abs=1e-12)
-    assert stems == {t: porter.stem(t) for t in doc.token_stream()}
+        doc_stems = stem_counts(doc, stems)
+        assert bow_coverage(doc_stems, track, vocab) == 1.0
+        assert frequency_fidelity(doc_stems, track, vocab) == pytest.approx(0.4, abs=1e-12)
+    assert stems == {t: porter.stem(t) for t in tokens}
 
 
 # --- compare / render -------------------------------------------------------

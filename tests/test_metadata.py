@@ -87,12 +87,11 @@ def test_csv_field_over_the_size_limit_is_a_malformed_line(parse, header):
 
 def test_mood_custom_columns_and_delimiter():
     columns = ColumnMap.parse("dzr_id, val, aro")
-    points = parse_mood_csv(
-        io.StringIO("dzr_id;val;aro;extra\nT9;0.5;-0.25;x\n"),
-        columns,
-        delimiter=";",
-    )
+    points = parse_mood_csv(io.StringIO("dzr_id,val,aro,extra\nT9,0.5,-0.25,x\n"), columns)
     assert points["T9"].arousal == -0.25
+    # the table is CSV: a semicolon leaves the header one column
+    with pytest.raises(MissingColumn):
+        parse_mood_csv(io.StringIO("dzr_id;val;aro\nT9;0.5;-0.25\n"), columns)
 
 
 # --- genre table ------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import backend as be
-from lyrecon import cli
+from lyrecon import cli, evaluation
 from lyrecon.metadata import ReconstructionRecord
 from lyrecon.mood import MoodPoint, mood_angle
 from lyrecon.pipeline import (
@@ -549,6 +550,40 @@ def test_evaluate_single_corpus_with_fidelity(tmp_path):
     fidelity = (out_dir / "fidelity.tsv").read_text().splitlines()
     assert fidelity[0] == "track_id\tcoverage\trank_correlation"
     assert len(fidelity) == 26
+
+
+def test_evaluate_counts_each_scored_doc_once_and_stems_each_token_type_once(
+        tmp_path, monkeypatch):
+    records = _join(tmp_path, 12, seed=7)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    # a BoW holding 8 of the 12 tracks: the other 4 are not scored
+    bow_lines = (tmp_path / "data" / "bow.txt").read_text().splitlines()[:9]
+    bow = tmp_path / "bow.txt"
+    bow.write_text("\n".join(bow_lines) + "\n")
+    scored = {line.split(",")[0] for line in bow_lines[1:]}
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    token_types = {token for entry in entries if entry["track_id"] in scored
+                   for token in entry["lyrics"].lower().split()}
+
+    counted, stemmed = [], Counter()
+    stem_counts, stem = evaluation.stem_counts, evaluation.stem
+
+    def counting_stem_counts(doc, stems=None):
+        counted.append(doc)
+        return stem_counts(doc, stems)
+
+    def counting_stem(word):
+        stemmed[word] += 1
+        return stem(word)
+
+    monkeypatch.setattr(evaluation, "stem_counts", counting_stem_counts)
+    monkeypatch.setattr(evaluation, "stem", counting_stem)
+    code, out_dir = _evaluate(tmp_path, out, bow=bow, reference=out)
+    assert code == 0
+    assert len(counted) == len(scored) == 8
+    assert stemmed == Counter(dict.fromkeys(token_types, 1))
+    assert len((out_dir / "fidelity.tsv").read_text().splitlines()) == 1 + 8
 
 
 def test_evaluate_self_comparison_zero_deltas(tmp_path):
