@@ -417,7 +417,10 @@ def run_batch(
     to disk and still get deterministic files; an item handed over is not
     kept, and the returned list holds the items only when ``on_item`` is
     None. Per-track failures become failed items; they do not abort the
-    batch. A missing credential aborts before any work.
+    batch. A missing credential aborts before any work. Any exception,
+    ``KeyboardInterrupt`` included, cancels the prompts not yet started,
+    waits for the requests in flight, and is re-raised; what those
+    requests return is cached for a rerun.
     """
     require_credential(config)
     items: list[BatchItem] = []
@@ -425,16 +428,22 @@ def run_batch(
     window = _WINDOW_PER_WORKER * config.max_in_flight
     submitted: deque[tuple[str, Future]] = deque()
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        for prompt_obj in prompts:
-            future = pool.submit(generate, prompt_obj, config, cache)
-            submitted.append((prompt_obj.track_id, future))
-            if len(submitted) == window:
-                # drain to half a window, then refill: workers get prompts
-                # in bursts instead of being woken once per prompt
-                while len(submitted) > window // 2:
-                    emit(_settle(*submitted.popleft()))
-        while submitted:
-            emit(_settle(*submitted.popleft()))
+        try:
+            for prompt_obj in prompts:
+                future = pool.submit(generate, prompt_obj, config, cache)
+                submitted.append((prompt_obj.track_id, future))
+                if len(submitted) == window:
+                    # drain to half a window, then refill: workers get prompts
+                    # in bursts instead of being woken once per prompt
+                    while len(submitted) > window // 2:
+                        emit(_settle(*submitted.popleft()))
+            while submitted:
+                emit(_settle(*submitted.popleft()))
+        except BaseException:
+            # an interrupt or a failed write: drop the queued prompts, so
+            # only the requests already in flight are sent and waited for
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
     return items
 
 

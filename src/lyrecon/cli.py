@@ -3,8 +3,10 @@
 Exit codes: 0 success; 2 any unusable input or unwritable output path, in
 any command: one line naming the file, and the line where one is known (or
 the bad flag or setting); 3 empty join intersection; 4 tracks still failed
-after retries (partial output and manifest are kept for a retry). Commands
-raise; ``main`` alone turns an error into that one line.
+after retries (partial output and manifest are kept for a retry); 130
+interrupted (Ctrl-C): the requests in flight finish, then one line asks
+for a rerun, which resumes. Commands raise; ``main`` alone turns an error
+into that one line.
 """
 
 from __future__ import annotations
@@ -469,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         message = _os_message(exc)
     except (LyreconError, UnicodeError) as exc:
         message = str(exc)
+    except KeyboardInterrupt:
+        print("lyrecon: interrupted; rerun the same command to resume", file=sys.stderr)
+        return 130
     print(f"lyrecon: error: {message}", file=sys.stderr)
     return 2
 

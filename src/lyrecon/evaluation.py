@@ -6,9 +6,11 @@ abstract/concrete lexicon ratios. N-gram sets follow the line-local window
 rule from :mod:`lyrecon.analysis`; the lexicon ratios pool every token in
 the corpus into one stream rather than averaging per set.
 :func:`corpus_stats` reads its docs in one pass, so a corpus can be streamed
-into it instead of held whole (``evaluate`` streams both corpora). Its
-bigram and trigram sets hold packed ``int``s, not tuples of ``str``: each
-token gets a per-corpus id, and an n-gram is its ids shifted together.
+into it instead of held whole (``evaluate`` streams both corpora). It
+stores each n-gram of a line not seen recently as token ids in flat arrays,
+8 B per bigram and 12 B per trigram, split into partitions by the last
+token; each partition is deduplicated on its own at the end, so only one
+partition's ``set`` exists at a time.
 
 Fidelity metrics tie generated text back to its BoW source: coverage is
 the fraction of a track's vocabulary whose words appear among the stemmed
@@ -23,7 +25,7 @@ many documents contain it.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -85,11 +87,31 @@ STAT_ROWS: tuple[tuple[str, str, bool], ...] = (
 )
 
 
+# N-grams are split by their last token's id modulo this, so one
+# partition's set, not the whole corpus's, is alive at a time.
+_PARTITIONS = 64
+# How many recently counted lines are kept, as id tuples, to skip a repeat
+# of one (it adds no n-gram); the set is cleared when full.
+_SEEN_LINES = 4096
+
+
 class _TokenIds(dict):
-    """token -> id, numbered from 0 in order of first sight."""
+    """token -> id, numbered from 0 in order of first sight.
+
+    A new id ``i`` also gets partition ``i % _PARTITIONS`` of each n-gram
+    store appended to that store's route, so ``routes[k][i]`` is the array
+    of store ``k`` that n-grams ending in token ``i`` go to.
+    """
+
+    def __init__(self, stores: tuple[list, ...]) -> None:
+        super().__init__()
+        self.stores = stores
+        self.routes: tuple[list, ...] = tuple([] for _ in stores)
 
     def __missing__(self, token: str) -> int:
         value = self[token] = len(self)
+        for store, route in zip(self.stores, self.routes):
+            route.append(store[value % _PARTITIONS])
         return value
 
 
@@ -98,26 +120,47 @@ def corpus_stats(
 ) -> CorpusStats:
     """The nine-row statistics for one corpus of lyric sets, in one pass.
 
-    A bigram is stored as ``(a << 32) | b`` and a trigram as
-    ``(bigram << 32) | c`` over the tokens' ids. Python ints are unbounded,
-    so the packing is exact while every id is below 2**32, and 2**32 token
-    types would not fit in memory anyway.
+    Over the tokens' ids, a bigram is ``(a << 32) | b`` in an ``array("Q")``
+    (8 B) and a trigram is that bigram in an ``array("Q")`` plus ``c`` at the
+    same index of an ``array("I")`` (12 B; ``"L"`` would be 8 B on 64-bit
+    Linux). Ids stay below 2**32, as 2**32 token types would not fit in
+    memory anyway. Each n-gram goes to the partition of its last token, so
+    equal n-grams share a partition and a unique count is the sum of the
+    partitions' distinct counts. N-grams never cross a line, so a line
+    already counted in this doc or seen recently is skipped. Ids follow set
+    order, which varies with the hash seed; only the counts leave here.
     """
+    # imported here: join and reconstruct load this module but count nothing
+    from array import array
+
     n = lines = sections = 0
     tokens: Counter[str] = Counter()
-    token_id = _TokenIds().__getitem__
-    bigrams: set[int] = set()
-    trigrams: set[int] = set()
+    bigrams, heads, tails = stores = tuple(
+        [array(code) for _ in range(_PARTITIONS)] for code in "QQI")
+    ids_of = _TokenIds(stores)
+    token_id = ids_of.__getitem__
+    to_bigrams, to_heads, to_tails = (route.__getitem__ for route in ids_of.routes)
+    append = array.append
+    consume = deque(maxlen=0).extend
+    seen: set[tuple[int, ...]] = set()
     for doc in docs:
         n += 1
         lines += doc.line_count
         sections += doc.section_count
         tokens.update(chain.from_iterable(doc.tokens))
-        for line in doc.tokens:
-            ids = list(map(token_id, line))
-            pairs = [(a << 32) | b for a, b in zip(ids, ids[1:])]
-            bigrams.update(pairs)
-            trigrams.update([(ab << 32) | c for ab, c in zip(pairs, ids[2:])])
+        for line in set(doc.tokens):
+            ids = tuple(map(token_id, line))
+            if ids in seen:
+                continue
+            if len(seen) >= _SEEN_LINES:
+                seen.clear()
+            seen.add(ids)
+            rest = ids[1:]
+            pairs = [(a << 32) | b for a, b in zip(ids, rest)]
+            consume(map(append, map(to_bigrams, rest), pairs))
+            ends = ids[2:]
+            consume(map(append, map(to_heads, ends), pairs))
+            consume(map(append, map(to_tails, ends), ends))
     if n == 0:
         raise EmptyCorpus("no lyric sets to evaluate")
     words = sum(tokens.values())
@@ -132,8 +175,8 @@ def corpus_stats(
         avg_lines_per_set=lines / n,
         avg_sections_per_set=sections / n,
         unique_unigrams=len(tokens),
-        unique_bigrams=len(bigrams),
-        unique_trigrams=len(trigrams),
+        unique_bigrams=sum(len(set(part)) for part in bigrams),
+        unique_trigrams=sum(len(set(zip(head, tail))) for head, tail in zip(heads, tails)),
         abstract_ratio=ratio(abstract_lex),
         concrete_ratio=ratio(concrete_lex),
     )

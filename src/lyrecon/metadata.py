@@ -162,7 +162,8 @@ def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap,
         for name in (columns.id_column, *columns.value_columns):
             if name not in header:
                 raise MissingColumn(
-                    f"column {reprlib.repr(name)} not in header {reprlib.repr(header)}")
+                    f"column {reprlib.repr(name)} not in header {reprlib.repr(header)}",
+                    reader.line_num)
         for row in reader:
             track_id = (row[columns.id_column] or "").strip()
             if not track_id:

@@ -296,7 +296,7 @@ def _long_id_record(line: str, **fields) -> str:
 
 
 # id -> (input file, a change to its lines that the command reading the file
-# refuses, the line blamed or None for the file as a whole)
+# refuses, the line blamed)
 LONG_INPUTS = {
     "bow-pair-not-integer": (
         "bow.txt", lambda lines: [lines[0], lines[1] + ",1:" + "9" * 600 + "x", *lines[2:]], 2),
@@ -315,7 +315,7 @@ LONG_INPUTS = {
     "mood-header-without-arousal": (
         "mood.csv",
         lambda lines: ["track_id,valence," + ",".join(f"c{i}" for i in range(200)),
-                       *lines[1:]], None),
+                       *lines[1:]], 1),
     "genre-id-with-empty-genre": (
         "genres.tsv", lambda lines: [f"{LONG_ID}\t ", *lines], 1),
     "records-id-without-vocabulary": (
@@ -336,8 +336,7 @@ def test_a_long_bad_input_is_echoed_cut_short(pristine, tmp_path, capsys, case):
     command = INPUTS[name][0][0]
     assert cli.main(_argv(command, tmp_path)) == 2
     err = capsys.readouterr().err
-    where = f"line {line_no}: " if line_no else ""
-    assert err.startswith(f"lyrecon: error: {tmp_path / name}: {where}"), err
+    assert err.startswith(f"lyrecon: error: {tmp_path / name}: line {line_no}: "), err
     assert err.count("\n") == 1
     assert len(err) < 200, err
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -142,12 +144,70 @@ _raw_text = st.lists(
 ).map(lambda parts: "".join(line + end for line, end in parts))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_raw_text, min_size=1, max_size=6))
-def test_streamed_corpus_stats_equal_oracle_exactly(texts):
+def _assert_equals_oracle(texts):
     stats = corpus_stats((segment(t) for t in texts), ABSTRACT, CONCRETE)
     oracle = naive_stats(texts, set(ABSTRACT_WORDS), set(CONCRETE_WORDS))
     assert dataclasses.asdict(stats) == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_text, min_size=1, max_size=6))
+def test_streamed_corpus_stats_equal_oracle_exactly(texts):
+    _assert_equals_oracle(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_text, min_size=1, max_size=6))
+def test_corpus_stats_equal_oracle_when_seen_lines_clear_on_every_line(texts):
+    # a bound of 1 keeps only the last line counted, so the filter of
+    # repeated lines is cleared inside every doc
+    with mock.patch.object(evaluation, "_SEEN_LINES", 1):
+        _assert_equals_oracle(texts)
+
+
+# 150 token types, so every one of the 64 partitions holds n-grams, and 60
+# lines of 1 to 9 tokens that docs share, so lines repeat across docs; each
+# of 20 lines also comes with its first and with its last token changed
+_MANY_TYPES = [f"w{i}" for i in range(150)]
+_rng = random.Random(13)
+_SHARED_LINES = [
+    " ".join(variant)
+    for line in (_rng.choices(_MANY_TYPES, k=_rng.randint(1, 9)) for _ in range(20))
+    for variant in (line, ["x", *line[1:]], [*line[:-1], "x"])
+]
+MANY_TYPE_DOCS = [
+    "\n".join(_rng.choice(_SHARED_LINES) for _ in range(_rng.randint(1, 12)))
+    + "\n\n" + " ".join(_rng.choices(_MANY_TYPES, k=6))
+    for _ in range(60)
+]
+
+
+@pytest.mark.parametrize("seen_lines", [1, 7, 4096])
+def test_many_token_types_and_lines_repeated_across_docs_match_oracle(seen_lines):
+    assert len({w for doc in MANY_TYPE_DOCS for w in doc.split()}) > 64
+    with mock.patch.object(evaluation, "_SEEN_LINES", seen_lines):
+        _assert_equals_oracle(MANY_TYPE_DOCS)
+
+
+def test_corpus_stats_memory_is_flat_per_distinct_ngram():
+    # 33,334 lines "a<i> b<j> c<k>" whose 66,668 bigrams and 33,334 trigrams
+    # are all distinct; a set of ints held about 70 B for each of them
+    def docs():
+        for start in range(0, 33_334, 8):
+            yield segment("\n".join(
+                f"a{k % 200} b{k // 200} c{(k % 200 + k // 200) % 200}"
+                for k in range(start, min(start + 8, 33_334))))
+
+    corpus_stats(docs(), ABSTRACT, CONCRETE)  # fills the interpreter's free lists
+    tracemalloc.start()
+    try:
+        stats = corpus_stats(docs(), ABSTRACT, CONCRETE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    distinct = stats.unique_bigrams + stats.unique_trigrams
+    assert distinct == 100_002
+    assert peak < 20 * distinct
 
 
 def test_empty_stream_rejected():

@@ -4,8 +4,11 @@ import contextlib
 import json
 import math
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -240,8 +243,7 @@ def test_reconstruct_resume_after_interrupt(tmp_path, monkeypatch):
         return real_run_batch(prompts, config, cache, on_item=wrapper)
 
     monkeypatch.setattr(be, "run_batch", interrupted_run_batch)
-    with pytest.raises(KeyboardInterrupt):
-        _reconstruct_mock(records, out)
+    assert _reconstruct_mock(records, out) == 130
     monkeypatch.setattr(be, "run_batch", real_run_batch)
 
     partial = read_corpus(out)
@@ -461,6 +463,57 @@ def test_reconstruct_live_rerun_uses_cache_only(tmp_path, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def _src_env(**extra: str) -> dict[str, str]:
+    """This environment with the package's ``src`` first on the path."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, monkeypatch):
+    monkeypatch.setenv("LYRECON_API_KEY", "k")
+    records = _join(tmp_path, 20, seed=8)
+    out = tmp_path / "corpus.jsonl"
+    cache_dir = tmp_path / "cache"
+    with FakeChatServer(hold_seconds=0.5) as server:
+        def argv(corpus: Path) -> list[str]:
+            return ["reconstruct", "--records", str(records), "-o", str(corpus),
+                    "--backend", "live", "--endpoint", server.endpoint,
+                    "--cache-dir", str(cache_dir), "--max-in-flight", "2"]
+
+        with subprocess.Popen(
+            [sys.executable, "-m", "lyrecon.cli", *argv(out)], env=_src_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while server.request_count == 0 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert server.request_count > 0
+                server.mark()
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # a no-op once it has exited; never leave it running
+        assert proc.returncode == 130
+        assert err.splitlines() == ["lyrecon: interrupted; rerun the same command to resume"]
+        assert "Traceback" not in err
+        # the queued prompts are dropped: only the two in flight were sent
+        assert server.requests_since_mark <= 2
+
+        server.hold_seconds = 0.0
+        assert cli.main(argv(out)) == 0
+        # every reply of the interrupted run reached the cache: none is asked again
+        assert server.request_count == 20
+        clean = tmp_path / "clean.jsonl"
+        assert cli.main(argv(clean)) == 0
+        assert server.request_count == 20
+    assert out.read_bytes() == clean.read_bytes()
+    assert [e.track_id for e in read_corpus(out)] == [r.track_id for r in read_records(records)]
+
+
 API_KEY = "sk-test-4f2a9c17"
 
 # id -> the fake server's arguments for a run in which every track fails
@@ -584,6 +637,41 @@ def test_evaluate_counts_each_scored_doc_once_and_stems_each_token_type_once(
     assert len(counted) == len(scored) == 8
     assert stemmed == Counter(dict.fromkeys(token_types, 1))
     assert len((out_dir / "fidelity.tsv").read_text().splitlines()) == 1 + 8
+
+
+def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # token ids follow set order, which the hash seed changes; no output may
+    records = _join(tmp_path, 30, seed=9)
+    corpus = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, corpus) == 0
+    rng = random.Random(9)
+    chorus = [" ".join(rng.choices(FIXTURE_WORDS, k=5)) for _ in range(4)]
+    reference = tmp_path / "reference.jsonl"
+    with open(reference, "w", encoding="utf-8") as fh:
+        for record in read_records(records):
+            verse = [" ".join(rng.choices(FIXTURE_WORDS, k=rng.randint(1, 8)))
+                     for _ in range(6)]
+            lyrics = "\n".join(verse) + "\n\n" + "\n".join(rng.sample(chorus, 3))
+            entry = CorpusEntry(record.track_id, "original", "original",
+                                "1970-01-01T00:00:00+00:00", lyrics)
+            fh.write(corpus_entry_line(entry) + "\n")
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    outputs = []
+    for seed in ("0", "1"):
+        out_dir = tmp_path / f"eval-{seed}"
+        subprocess.run(
+            [sys.executable, "-m", "lyrecon.cli", "evaluate",
+             "--corpus", str(corpus), "--reference", str(reference),
+             "--bow", str(tmp_path / "data" / "bow.txt"),
+             "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
+             "-o", str(out_dir)],
+            env=_src_env(PYTHONHASHSEED=seed), capture_output=True, check=True, timeout=120,
+        )
+        outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    assert sorted(outputs[0]) == [
+        "fidelity.tsv", "fidelity_summary.json", "report.tsv", "report.txt",
+        "stats.json", "stats_reference.json"]
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_self_comparison_zero_deltas(tmp_path):
