@@ -4,8 +4,9 @@ Exit codes: 0 success; 2 any unusable input or unwritable output path, in
 any command: one line naming the file, and the line where one is known (or
 the bad flag or setting); 3 empty join intersection; 4 tracks still failed
 after retries (partial output and manifest are kept for a retry); 130
-interrupted (Ctrl-C): the requests in flight finish, then one line asks
-for a rerun, which resumes. Commands raise; ``main`` alone turns an error
+interrupted (Ctrl-C): one line asks for a rerun. A rerun of ``reconstruct``
+resumes, once the requests in flight have finished into the cache; any
+other command starts over. Commands raise; ``main`` alone turns an error
 into that one line.
 """
 
@@ -472,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LyreconError, UnicodeError) as exc:
         message = str(exc)
     except KeyboardInterrupt:
-        print("lyrecon: interrupted; rerun the same command to resume", file=sys.stderr)
+        print("lyrecon: interrupted; rerun the same command", file=sys.stderr)
         return 130
     print(f"lyrecon: error: {message}", file=sys.stderr)
     return 2

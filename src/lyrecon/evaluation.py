@@ -9,8 +9,10 @@ the corpus into one stream rather than averaging per set.
 into it instead of held whole (``evaluate`` streams both corpora). It
 stores each n-gram of a line not seen recently as token ids in flat arrays,
 8 B per bigram and 12 B per trigram, split into partitions by the last
-token; each partition is deduplicated on its own at the end, so only one
-partition's ``set`` exists at a time.
+token. Each partition is deduplicated on its own, so only one partition's
+``set`` exists at a time: at the end, and in place whenever the stores
+pass 2**20 bigrams and four times the bigrams last kept, so memory follows
+the distinct n-grams however often lines that differ share them.
 
 Fidelity metrics tie generated text back to its BoW source: coverage is
 the fraction of a track's vocabulary whose words appear among the stemmed
@@ -93,6 +95,15 @@ _PARTITIONS = 64
 # How many recently counted lines are kept, as id tuples, to skip a repeat
 # of one (it adds no n-gram); the set is cleared when full.
 _SEEN_LINES = 4096
+# Once the stores hold this many bigrams, every partition is deduplicated in
+# place, and again each time they reach four times the bigrams last kept:
+# lines that differ still share n-grams, and without this each recurrence of
+# one would cost its 8 or 12 B again. Four bounds the stores by 80 B per
+# distinct bigram plus 12 B per distinct trigram: less than sets' 70 B per
+# distinct n-gram while distinct trigrams are over a sixth of the bigrams.
+# A factor of 2 would pass over a corpus whose n-grams seldom recur twice
+# as often, for little memory.
+_DEDUPLICATE_AT = 1 << 20
 
 
 class _TokenIds(dict):
@@ -127,8 +138,12 @@ def corpus_stats(
     memory anyway. Each n-gram goes to the partition of its last token, so
     equal n-grams share a partition and a unique count is the sum of the
     partitions' distinct counts. N-grams never cross a line, so a line
-    already counted in this doc or seen recently is skipped. Ids follow set
-    order, which varies with the hash seed; only the counts leave here.
+    already counted in this doc or seen recently is skipped. Past
+    ``_DEDUPLICATE_AT`` bigrams the partitions are deduplicated in place
+    whenever the bigrams stored reach four times those last kept, so from
+    there on memory follows the distinct n-grams, however often each
+    recurs. Ids follow set order, which varies with the hash seed; only the
+    counts leave here.
     """
     # imported here: join and reconstruct load this module but count nothing
     from array import array
@@ -143,6 +158,19 @@ def corpus_stats(
     append = array.append
     consume = deque(maxlen=0).extend
     seen: set[tuple[int, ...]] = set()
+
+    def deduplicate() -> int:
+        """Drop repeats from every partition, one partition's ``set`` at a
+        time; returns the bigrams kept."""
+        for part in bigrams:
+            part[:] = array("Q", set(part))
+        for head, tail in zip(heads, tails):
+            kept = set(zip(head, tail))
+            head[:] = array("Q", [a for a, _ in kept])
+            tail[:] = array("I", [c for _, c in kept])
+        return sum(map(len, bigrams))
+
+    stored, limit = 0, _DEDUPLICATE_AT
     for doc in docs:
         n += 1
         lines += doc.line_count
@@ -161,6 +189,10 @@ def corpus_stats(
             ends = ids[2:]
             consume(map(append, map(to_heads, ends), pairs))
             consume(map(append, map(to_tails, ends), ends))
+            stored += len(pairs)
+            if stored >= limit:
+                stored = deduplicate()
+                limit = max(_DEDUPLICATE_AT, 4 * stored)
     if n == 0:
         raise EmptyCorpus("no lyric sets to evaluate")
     words = sum(tokens.values())

@@ -158,10 +158,12 @@ def test_streamed_corpus_stats_equal_oracle_exactly(texts):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_raw_text, min_size=1, max_size=6))
-def test_corpus_stats_equal_oracle_when_seen_lines_clear_on_every_line(texts):
-    # a bound of 1 keeps only the last line counted, so the filter of
-    # repeated lines is cleared inside every doc
-    with mock.patch.object(evaluation, "_SEEN_LINES", 1):
+def test_corpus_stats_equal_oracle_when_both_bounds_act_on_every_line(texts):
+    # bounds of 1: the filter of repeated lines keeps only the last line
+    # counted, so it is cleared inside every doc, and the partitions are
+    # deduplicated in place after each line counted
+    with mock.patch.object(evaluation, "_SEEN_LINES", 1), \
+            mock.patch.object(evaluation, "_DEDUPLICATE_AT", 1):
         _assert_equals_oracle(texts)
 
 
@@ -183,9 +185,12 @@ MANY_TYPE_DOCS = [
 
 
 @pytest.mark.parametrize("seen_lines", [1, 7, 4096])
-def test_many_token_types_and_lines_repeated_across_docs_match_oracle(seen_lines):
+@pytest.mark.parametrize("deduplicate_at", [1, 50, 1 << 20])
+def test_many_token_types_and_lines_repeated_across_docs_match_oracle(
+        seen_lines, deduplicate_at):
     assert len({w for doc in MANY_TYPE_DOCS for w in doc.split()}) > 64
-    with mock.patch.object(evaluation, "_SEEN_LINES", seen_lines):
+    with mock.patch.object(evaluation, "_SEEN_LINES", seen_lines), \
+            mock.patch.object(evaluation, "_DEDUPLICATE_AT", deduplicate_at):
         _assert_equals_oracle(MANY_TYPE_DOCS)
 
 

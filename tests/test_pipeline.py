@@ -463,20 +463,12 @@ def test_reconstruct_live_rerun_uses_cache_only(tmp_path, monkeypatch):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def _src_env(**extra: str) -> dict[str, str]:
-    """This environment with the package's ``src`` first on the path."""
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src"),
-         *filter(None, [env.get("PYTHONPATH")])])
-    return env
-
-
 def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, monkeypatch):
     monkeypatch.setenv("LYRECON_API_KEY", "k")
     records = _join(tmp_path, 20, seed=8)
     out = tmp_path / "corpus.jsonl"
     cache_dir = tmp_path / "cache"
+    src = Path(be.__file__).resolve().parents[1]
     with FakeChatServer(hold_seconds=0.5) as server:
         def argv(corpus: Path) -> list[str]:
             return ["reconstruct", "--records", str(records), "-o", str(corpus),
@@ -484,7 +476,8 @@ def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, mo
                     "--cache-dir", str(cache_dir), "--max-in-flight", "2"]
 
         with subprocess.Popen(
-            [sys.executable, "-m", "lyrecon.cli", *argv(out)], env=_src_env(),
+            [sys.executable, "-m", "lyrecon.cli", *argv(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         ) as proc:
             try:
@@ -498,7 +491,7 @@ def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, mo
             finally:
                 proc.kill()  # a no-op once it has exited; never leave it running
         assert proc.returncode == 130
-        assert err.splitlines() == ["lyrecon: interrupted; rerun the same command to resume"]
+        assert err.splitlines() == ["lyrecon: interrupted; rerun the same command"]
         assert "Traceback" not in err
         # the queued prompts are dropped: only the two in flight were sent
         assert server.requests_since_mark <= 2
@@ -656,6 +649,7 @@ def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                                 "1970-01-01T00:00:00+00:00", lyrics)
             fh.write(corpus_entry_line(entry) + "\n")
     abstract, concrete = write_lexicons(tmp_path / "lex")
+    src = Path(be.__file__).resolve().parents[1]
     outputs = []
     for seed in ("0", "1"):
         out_dir = tmp_path / f"eval-{seed}"
@@ -665,7 +659,8 @@ def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
              "--bow", str(tmp_path / "data" / "bow.txt"),
              "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
              "-o", str(out_dir)],
-            env=_src_env(PYTHONHASHSEED=seed), capture_output=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, check=True, timeout=120,
         )
         outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
     assert sorted(outputs[0]) == [
@@ -816,6 +811,50 @@ def test_evaluate_memory_does_not_grow_with_repeated_lyrics(tmp_path):
     evaluate(2500)
     small = peak_bytes(400)
     assert peak_bytes(4000) <= 1.5 * small
+
+
+def test_evaluate_memory_does_not_grow_when_lines_differ_but_share_ngrams(tmp_path, monkeypatch):
+    # three verses of 8 lines of 6 words, each line's words shuffled per doc:
+    # up to 17,280 distinct lines but at most 720 bigrams and 2,880 trigrams.
+    # Both bounds are scaled down so that a small corpus crosses them: the
+    # stores are deduplicated from 4,096 bigrams on, not 2**20, and the
+    # filter keeps 64 lines, not 4,096, so lines seldom repeat within it (a
+    # full filter's tuples, some on CPython's free list, blur a traced peak
+    # by up to 0.5 MB from run to run)
+    monkeypatch.setattr(evaluation, "_DEDUPLICATE_AT", 4096)
+    monkeypatch.setattr(evaluation, "_SEEN_LINES", 64)
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    rng = random.Random(21)
+    verses = [[rng.sample(FIXTURE_WORDS, 6) for _ in range(8)] for _ in range(3)]
+
+    def evaluate(n: int) -> None:
+        corpus = tmp_path / f"corpus-{n}.jsonl"
+        shuffle = random.Random(n).sample
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                lyrics = "\n".join(" ".join(shuffle(line, 6)) for line in verses[i % 3])
+                entry = CorpusEntry(f"T{i:05d}", "d" * 64, "m",
+                                    "2024-01-01T00:00:00+00:00", lyrics)
+                fh.write(corpus_entry_line(entry) + "\n")
+        assert cli.main([
+            "evaluate", "--corpus", str(corpus),
+            "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
+            "-o", str(tmp_path / f"eval-{n}"),
+        ]) == 0
+
+    def peak_bytes(n: int) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 6,400 lines already pass the bound; 51,200 lines stored whole would
+    # hold about 4 MB more
+    evaluate(2500)
+    small = peak_bytes(800)
+    assert peak_bytes(6400) <= 1.5 * small
 
 
 def test_report_command(tmp_path, capsys):
