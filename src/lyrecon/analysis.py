@@ -46,18 +46,17 @@ def tokenize(text: str) -> list[str]:
 class LyricDoc:
     """One lyric set, segmented into lines and blank-line-delimited sections.
 
+    ``tokens`` holds each non-blank line's tokens from :func:`tokenize`.
     ``sections`` holds half-open ``(start, end)`` index ranges into
-    ``lines``; together they cover every line exactly once. ``tokens``
-    holds the per-line token lists from :func:`tokenize`.
+    ``tokens``; together they cover every line exactly once.
     """
 
-    lines: tuple[str, ...]
     sections: tuple[tuple[int, int], ...]
     tokens: tuple[tuple[str, ...], ...] = field(repr=False)
 
     @property
     def line_count(self) -> int:
-        return len(self.lines)
+        return len(self.tokens)
 
     @property
     def section_count(self) -> int:
@@ -67,28 +66,24 @@ class LyricDoc:
 def segment(text: str) -> LyricDoc:
     """Segment raw lyric text into a :class:`LyricDoc`.
 
-    A line is blank when it is empty after trimming; blank runs of any
-    length act as a single section separator. CRLF input is accepted.
+    A line is blank when it has no token; blank runs of any length act as a
+    single section separator. CRLF input is accepted.
     """
-    lines: list[str] = []
+    tokens: list[tuple[str, ...]] = []
     sections: list[tuple[int, int]] = []
     section_start: int | None = None
-    for raw_line in text.split("\n"):
-        line = raw_line.rstrip("\r")
-        if line.strip():
+    for line in text.split("\n"):
+        words = tokenize(line)  # CRLF's "\r" is whitespace: tokenize drops it
+        if words:
             if section_start is None:
-                section_start = len(lines)
-            lines.append(line)
+                section_start = len(tokens)
+            tokens.append(tuple(words))
         elif section_start is not None:
-            sections.append((section_start, len(lines)))
+            sections.append((section_start, len(tokens)))
             section_start = None
     if section_start is not None:
-        sections.append((section_start, len(lines)))
-    return LyricDoc(
-        lines=tuple(lines),
-        sections=tuple(sections),
-        tokens=tuple(tuple(tokenize(line)) for line in lines),
-    )
+        sections.append((section_start, len(tokens)))
+    return LyricDoc(sections=tuple(sections), tokens=tuple(tokens))
 
 
 @dataclass(frozen=True)

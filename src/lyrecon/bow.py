@@ -29,11 +29,6 @@ from lyrecon.errors import LineError
 __all__ = [
     "BowCorpus",
     "BowParseError",
-    "DuplicateTrackId",
-    "IndexOutOfRange",
-    "MalformedPair",
-    "MissingVocabHeader",
-    "NonPositiveCount",
     "TrackBow",
     "VocabTable",
     "iter_bow",
@@ -46,27 +41,7 @@ _FORBIDDEN_VOCAB_CHARS = ",:"
 
 
 class BowParseError(LineError):
-    """Base for BoW file rejections; carries the 1-based line number."""
-
-
-class MissingVocabHeader(BowParseError):
-    pass
-
-
-class DuplicateTrackId(BowParseError):
-    pass
-
-
-class IndexOutOfRange(BowParseError):
-    pass
-
-
-class MalformedPair(BowParseError):
-    pass
-
-
-class NonPositiveCount(BowParseError):
-    pass
+    """A rejected BoW file; carries the 1-based line number."""
 
 
 @dataclass(frozen=True)
@@ -154,30 +129,27 @@ def _parse_vocab_line(body: str, line_no: int) -> VocabTable:
 def _parse_data_line(line: str, line_no: int, vocab_size: int) -> TrackBow:
     fields = line.split(",")
     if len(fields) < 3:
-        raise MalformedPair("expected track_id,source_id,idx:cnt,...", line_no)
+        raise BowParseError("expected track_id,source_id,idx:cnt,...", line_no)
     track_id, source_id = fields[0], fields[1]
     if not track_id:
-        raise MalformedPair("empty track_id", line_no)
+        raise BowParseError("empty track_id", line_no)
     counts: dict[int, int] = {}
     for pair in fields[2:]:
         idx_text, sep, cnt_text = pair.partition(":")
         if not sep:
-            raise MalformedPair(f"pair {reprlib.repr(pair)} has no ':'", line_no)
+            raise BowParseError(f"pair {reprlib.repr(pair)} has no ':'", line_no)
         try:
             index = int(idx_text)
             count = int(cnt_text)
         except ValueError as exc:
-            raise MalformedPair(
-                f"pair {reprlib.repr(pair)} is not integer:integer", line_no
-            ) from exc
+            raise BowParseError(
+                f"pair {reprlib.repr(pair)} is not integer:integer", line_no) from exc
         if not 1 <= index <= vocab_size:
-            raise IndexOutOfRange(
-                f"word index {index} outside 1..{vocab_size}", line_no
-            )
+            raise BowParseError(f"word index {index} outside 1..{vocab_size}", line_no)
         if count < 1:
-            raise NonPositiveCount(f"count {count} for index {index}", line_no)
+            raise BowParseError(f"count {count} for index {index}", line_no)
         if index in counts:
-            raise MalformedPair(f"duplicate word index {index}", line_no)
+            raise BowParseError(f"duplicate word index {index}", line_no)
         counts[index] = count
     return TrackBow(track_id=track_id, source_id=source_id, counts=counts)
 
@@ -196,12 +168,10 @@ def iter_bow(
     lines = _content_lines(source)
     for line_no, line in lines:
         if not line.startswith("%"):
-            raise MissingVocabHeader(
-                "data line before the % vocabulary header", line_no
-            )
+            raise BowParseError("data line before the % vocabulary header", line_no)
         vocab = _parse_vocab_line(line[1:], line_no)
         return vocab, _tracks(lines, vocab)
-    raise MissingVocabHeader("no % vocabulary header in input")
+    raise BowParseError("no % vocabulary header in input")
 
 
 def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -220,9 +190,7 @@ def _tracks(lines: Iterator[tuple[int, str]], vocab: VocabTable) -> Iterator[Tra
             raise BowParseError("second vocabulary header", line_no)
         track = _parse_data_line(line, line_no, size)
         if track.track_id in seen_ids:
-            raise DuplicateTrackId(
-                f"track id {reprlib.repr(track.track_id)} repeated", line_no
-            )
+            raise BowParseError(f"track id {reprlib.repr(track.track_id)} repeated", line_no)
         seen_ids.add(track.track_id)
         yield track
 
@@ -253,6 +221,6 @@ def ordered_vocabulary(track: TrackBow, vocab: VocabTable) -> list[str]:
     size = len(vocab)
     for index in track.counts:
         if index > size:
-            raise IndexOutOfRange(f"word index {index} outside 1..{size}")
+            raise BowParseError(f"word index {index} outside 1..{size}")
     order = sorted(track.counts.items(), key=lambda item: (-item[1], item[0]))
     return [vocab.words[index - 1] for index, _ in order]

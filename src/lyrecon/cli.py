@@ -444,16 +444,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--concrete-lexicon", required=True)
     p_eval.add_argument("--bow", default=None,
                         help="BoW file for per-track coverage/fidelity")
-    p_eval.add_argument("--label", default="Reconstructed")
-    p_eval.add_argument("--reference-label", default="Original")
+    p_eval.add_argument("--label", default=ev.LEFT_LABEL)
+    p_eval.add_argument("--reference-label", default=ev.RIGHT_LABEL)
     p_eval.add_argument("--out-dir", "-o", required=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="render a comparison from saved stats")
     p_rep.add_argument("--left", required=True, help="stats.json")
     p_rep.add_argument("--right", required=True, help="stats.json")
-    p_rep.add_argument("--left-label", default="Reconstructed")
-    p_rep.add_argument("--right-label", default="Original")
+    p_rep.add_argument("--left-label", default=ev.LEFT_LABEL)
+    p_rep.add_argument("--right-label", default=ev.RIGHT_LABEL)
     p_rep.add_argument("--out-dir", "-o", required=True)
     p_rep.set_defaults(func=cmd_report)
 

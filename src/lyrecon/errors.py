@@ -1,4 +1,12 @@
-"""Shared exception root for the lyrecon package."""
+"""Shared exception root for the lyrecon package.
+
+Every error lyrecon raises on purpose is a :class:`LyreconError`. Each
+line-oriented input format has one :class:`LineError` subclass:
+``BowParseError`` (BoW file), ``TableParseError`` (mood, genre and meta
+tables), ``MoodTableError`` (mood arc table), ``RecordsFormatError``
+(records file) and ``CorpusFormatError`` (corpus file and cache entries);
+the run manifest's is ``ManifestMismatch``.
+"""
 
 
 class LyreconError(Exception):
@@ -8,8 +16,9 @@ class LyreconError(Exception):
 class LineError(LyreconError):
     """An error in one input line; the message starts with its 1-based number.
 
-    Parsers raise subclasses of this so the CLI can point at the offending
-    input. ``line_no`` is None when no single line is to blame.
+    Each on-disk format's parser raises its own subclass of this so the CLI
+    can point at the offending input. ``line_no`` is None when no single
+    line is to blame.
     """
 
     def __init__(self, message: str, line_no: int | None = None):

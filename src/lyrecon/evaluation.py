@@ -41,6 +41,8 @@ __all__ = [
     "CorpusStats",
     "EmptyCorpus",
     "InsufficientOverlap",
+    "LEFT_LABEL",
+    "RIGHT_LABEL",
     "RowDelta",
     "STAT_ROWS",
     "bow_coverage",
@@ -345,10 +347,15 @@ def render_stats_text(stats: CorpusStats, label: str = "Corpus") -> str:
     )
 
 
+# the column heads of a comparison, unless the caller names them
+LEFT_LABEL = "Reconstructed"
+RIGHT_LABEL = "Original"
+
+
 def render_comparison_text(
     report: ComparisonReport,
-    left_label: str = "Reconstructed",
-    right_label: str = "Original",
+    left_label: str = LEFT_LABEL,
+    right_label: str = RIGHT_LABEL,
 ) -> str:
     """Aligned three-column table: Item / left / right."""
     return _aligned_table(

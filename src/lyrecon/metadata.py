@@ -12,6 +12,11 @@ because the upstream datasets do not share a schema. Track-id matching is
 exact, case-sensitive string equality. Tracks missing from any source are
 dropped, not errors; the join reports per-source counts so the drop rate
 is visible.
+
+Every table rejects a bad line with :class:`TableParseError`, whose message
+starts with the line's 1-based number: a missing column, a value that is
+not a finite number, a zero valence/arousal vector, a repeated or empty id,
+an empty field, or a line the CSV reader refuses.
 """
 
 from __future__ import annotations
@@ -24,22 +29,15 @@ from typing import IO, Container, Iterable, Iterator
 
 from lyrecon.bow import TrackBow, VocabTable, ordered_vocabulary
 from lyrecon.errors import LineError
-from lyrecon.mood import MoodPoint, MoodTable, ZeroMoodVector, mood_angle, mood_label
+from lyrecon.mood import MoodPoint, MoodTable, mood_angle, mood_label
 
 __all__ = [
     "ColumnMap",
-    "DuplicateId",
-    "EmptyField",
-    "EmptyGenre",
     "GenreTags",
     "JoinReport",
-    "MalformedLine",
-    "MissingColumn",
-    "NonNumericValue",
     "ReconstructionRecord",
     "TableParseError",
     "TrackMeta",
-    "ZeroMoodVector",
     "join_records",
     "parse_genre_table",
     "parse_mood_csv",
@@ -48,31 +46,7 @@ __all__ = [
 
 
 class TableParseError(LineError):
-    """Base for metadata-table rejections; carries the 1-based file line."""
-
-
-class MissingColumn(TableParseError):
-    pass
-
-
-class NonNumericValue(TableParseError):
-    pass
-
-
-class DuplicateId(TableParseError):
-    pass
-
-
-class MalformedLine(TableParseError):
-    pass
-
-
-class EmptyGenre(TableParseError):
-    pass
-
-
-class EmptyField(TableParseError):
-    pass
+    """A rejected mood, genre or meta table; carries the 1-based file line."""
 
 
 @dataclass(frozen=True)
@@ -158,23 +132,22 @@ def _rows(stream: Iterable[str] | IO[str], columns: ColumnMap,
     try:
         header = reader.fieldnames
         if header is None:
-            raise MissingColumn("empty table: no header row")
+            raise TableParseError("empty table: no header row")
         for name in (columns.id_column, *columns.value_columns):
             if name not in header:
-                raise MissingColumn(
+                raise TableParseError(
                     f"column {reprlib.repr(name)} not in header {reprlib.repr(header)}",
                     reader.line_num)
         for row in reader:
             track_id = (row[columns.id_column] or "").strip()
             if not track_id:
-                raise EmptyField("empty track id", reader.line_num)
+                raise TableParseError("empty track id", reader.line_num)
             if track_id in seen:
-                raise DuplicateId(
-                    f"track id {reprlib.repr(track_id)} repeated", reader.line_num
-                )
+                raise TableParseError(
+                    f"track id {reprlib.repr(track_id)} repeated", reader.line_num)
             yield reader.line_num, track_id, row
     except csv.Error as exc:
-        raise MalformedLine(str(exc), reader.reader.line_num) from exc
+        raise TableParseError(str(exc), reader.reader.line_num) from exc
 
 
 def parse_mood_csv(
@@ -189,16 +162,14 @@ def parse_mood_csv(
             valence = float(row[val_col])
             arousal = float(row[aro_col])
         except (TypeError, ValueError) as exc:
-            raise NonNumericValue(
-                f"track {reprlib.repr(track_id)}: valence/arousal not numeric", line_no
-            ) from exc
+            raise TableParseError(
+                f"track {reprlib.repr(track_id)}: valence/arousal not numeric", line_no) from exc
         if not (math.isfinite(valence) and math.isfinite(arousal)):
-            raise NonNumericValue(
+            raise TableParseError(
                 f"track {reprlib.repr(track_id)}: non-finite value", line_no)
         if valence == 0.0 and arousal == 0.0:
-            raise ZeroMoodVector(
-                f"track {reprlib.repr(track_id)}: zero mood vector has no angle", line_no
-            )
+            raise TableParseError(
+                f"track {reprlib.repr(track_id)}: zero mood vector has no angle", line_no)
         points[track_id] = MoodPoint(valence=valence, arousal=arousal)
     return points
 
@@ -218,9 +189,9 @@ def parse_track_meta(
         artist = (row[artist_col] or "").strip()
         title = (row[title_col] or "").strip()
         if not artist:
-            raise EmptyField(f"track {reprlib.repr(track_id)}: empty artist", line_no)
+            raise TableParseError(f"track {reprlib.repr(track_id)}: empty artist", line_no)
         if not title:
-            raise EmptyField(f"track {reprlib.repr(track_id)}: empty title", line_no)
+            raise TableParseError(f"track {reprlib.repr(track_id)}: empty title", line_no)
         metas[track_id] = TrackMeta(track_id=track_id, artist=artist, title=title)
     return metas
 
@@ -239,14 +210,13 @@ def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, GenreTags]:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise MalformedLine(
-                f"expected track_id<TAB>genre, got {len(parts)} fields", line_no
-            )
+            raise TableParseError(
+                f"expected track_id<TAB>genre, got {len(parts)} fields", line_no)
         track_id, genre = parts[0].strip(), parts[1].strip()
         if not track_id:
-            raise MalformedLine("empty track id", line_no)
+            raise TableParseError("empty track id", line_no)
         if not genre:
-            raise EmptyGenre(f"track {reprlib.repr(track_id)}: empty genre", line_no)
+            raise TableParseError(f"track {reprlib.repr(track_id)}: empty genre", line_no)
         bucket = tags.setdefault(track_id, [])
         if genre not in bucket:
             bucket.append(genre)

@@ -10,6 +10,11 @@ circumplex anchors) can be replaced by any table that validates.
 Mood table file format: one arc per line, ``start end label``, angles
 written as multiples of pi so boundaries stay exact and readable. The arc
 whose start exceeds its end wraps through zero. ``#`` starts a comment.
+
+A table that does not parse or does not partition the circle raises
+:class:`MoodTableError`, with the line number where one line is to blame;
+an overlap and a gap raise its subclasses :class:`IntervalOverlap` and
+:class:`CoverageGap`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from lyrecon.errors import LineError
+from lyrecon.errors import LineError, LyreconError
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,35 +35,24 @@ TWO_PI = 2.0 * math.pi
 _EDGE_EPS = 1e-9
 
 
-class ZeroMoodVector(LineError):
-    """The (0, 0) mood point has no angle and is rejected outright.
-
-    Raised by :func:`mood_angle`, and with a line number by the mood-score
-    parser in :mod:`lyrecon.metadata`.
-    """
+class ZeroMoodVector(LyreconError):
+    """The (0, 0) mood point has no angle; raised by :func:`mood_angle`."""
 
 
 class MoodTableError(LineError):
-    """Base for mood-table validation failures."""
-
-
-class IntervalOutOfRange(MoodTableError):
-    def __init__(self, index: int, message: str):
-        super().__init__(f"mood table entry {index}: {message}")
-        self.index = index
+    """A rejected mood table; carries the 1-based line when one is to blame."""
 
 
 class IntervalOverlap(MoodTableError):
-    def __init__(self, first: int, second: int):
-        super().__init__(f"mood table entries {first} and {second} overlap")
-        self.first = first
-        self.second = second
+    """Two arcs of the table overlap."""
 
 
 class CoverageGap(MoodTableError):
-    def __init__(self, at: float):
-        super().__init__(f"mood table leaves a gap at theta={at/math.pi:.6g}*pi")
-        self.at = at
+    """Some angle lies in no arc of the table."""
+
+
+def _gap(at: float) -> CoverageGap:
+    return CoverageGap(f"mood table leaves a gap at theta={at/math.pi:.6g}*pi")
 
 
 @dataclass(frozen=True)
@@ -120,27 +114,31 @@ def mood_label(theta: float, table: MoodTable) -> str:
     for arc in table.entries:
         if arc.contains(theta):
             return arc.label
-    raise CoverageGap(theta)
+    raise _gap(theta)
 
 
 def validate_mood_table(table: MoodTable) -> None:
     """Accept exactly the tables whose arcs partition [0, 2*pi).
 
-    Raises :class:`IntervalOutOfRange`, :class:`IntervalOverlap` or
-    :class:`CoverageGap`; returns None when the table is sound.
+    Raises :class:`MoodTableError` for a bad arc, or its subclasses
+    :class:`IntervalOverlap` and :class:`CoverageGap`; returns None when the
+    table is sound.
     """
     if not table.entries:
-        raise CoverageGap(0.0)
+        raise _gap(0.0)
     flat: list[tuple[float, float, int]] = []
     for i, arc in enumerate(table.entries):
         if not arc.label:
-            raise IntervalOutOfRange(i, "empty label")
+            raise MoodTableError(f"mood table entry {i}: empty label")
         if not (0.0 <= arc.start < TWO_PI):
-            raise IntervalOutOfRange(i, f"start {arc.start/math.pi:.6g}*pi outside [0, 2*pi)")
+            raise MoodTableError(
+                f"mood table entry {i}: start {arc.start/math.pi:.6g}*pi outside [0, 2*pi)")
         if not (0.0 <= arc.end <= TWO_PI):
-            raise IntervalOutOfRange(i, f"end {arc.end/math.pi:.6g}*pi outside [0, 2*pi]")
+            raise MoodTableError(
+                f"mood table entry {i}: end {arc.end/math.pi:.6g}*pi outside [0, 2*pi]")
         if arc.start == arc.end:
-            raise IntervalOutOfRange(i, "zero-length arc (write a full circle as 0..2*pi)")
+            raise MoodTableError(
+                f"mood table entry {i}: zero-length arc (write a full circle as 0..2*pi)")
         if arc.start < arc.end:
             flat.append((arc.start, arc.end, i))
         else:
@@ -149,16 +147,16 @@ def validate_mood_table(table: MoodTable) -> None:
                 flat.append((0.0, arc.end, i))
     flat.sort(key=lambda piece: piece[0])
     if flat[0][0] > _EDGE_EPS:
-        raise CoverageGap(0.0)
+        raise _gap(0.0)
     cursor_end, cursor_idx = flat[0][1], flat[0][2]
     for start, end, idx in flat[1:]:
         if start < cursor_end - _EDGE_EPS:
-            raise IntervalOverlap(cursor_idx, idx)
+            raise IntervalOverlap(f"mood table entries {cursor_idx} and {idx} overlap")
         if start > cursor_end + _EDGE_EPS:
-            raise CoverageGap(cursor_end)
+            raise _gap(cursor_end)
         cursor_end, cursor_idx = end, idx
     if cursor_end < TWO_PI - _EDGE_EPS:
-        raise CoverageGap(cursor_end)
+        raise _gap(cursor_end)
 
 
 def parse_mood_table(lines: Iterable[str]) -> MoodTable:

@@ -37,7 +37,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from lyrecon.errors import LineError, LyreconError
 from lyrecon.metadata import ReconstructionRecord
-from lyrecon.mood import MoodPoint, mood_angle
+from lyrecon.mood import MoodPoint, ZeroMoodVector, mood_angle
 
 __all__ = [
     "CorpusEntry",
@@ -164,7 +164,12 @@ def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
             "words, none of them empty",
             line_no,
         )
-    if not math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9):
+    try:
+        theta_matches = math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9)
+    except ZeroMoodVector as exc:
+        raise RecordsFormatError(f"track {reprlib.repr(record.track_id)}: {exc}",
+                                 line_no) from exc
+    if not theta_matches:
         raise RecordsFormatError(
             f"track {reprlib.repr(record.track_id)}: stored theta does not match "
             "valence/arousal",
@@ -337,14 +342,20 @@ class RunManifest:
             "records_digest": records_digest,
             "total": total,
         }
-        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        # renamed into place whole: a kill leaves no manifest or a whole header
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
         return manifest
 
     @classmethod
     def load(cls, path: Path, config_digest: str, records_digest: str) -> "RunManifest":
         """Replay an existing manifest, refusing to mix configurations. The
-        header's ``total`` is not read: ``records_digest`` pins what it counts."""
-        lines = path.read_text(encoding="utf-8").splitlines()
+        header's ``total`` is not read: ``records_digest`` pins what it counts.
+        A last line without its newline, torn by a crash, is cut off the file."""
+        content = path.read_bytes()
+        whole = content.rfind(b"\n") + 1  # bytes up to the end of the last whole line
+        lines = content[:whole or len(content)].decode("utf-8").splitlines()
         if not lines:
             raise ManifestMismatch("empty manifest")
         try:
@@ -360,10 +371,11 @@ class RunManifest:
             )
         if header.get("records_digest") != records_digest:
             raise ManifestMismatch("manifest was written for a different records file")
+        if 0 < whole < len(content):  # so the next event starts a line of its own
+            os.truncate(path, whole)
         manifest = cls(path, config_digest, records_digest)
         for raw in lines[1:]:
-            # a blank line, a torn tail line from a crash (the state before
-            # it is intact) or an event of the wrong shape is skipped
+            # a blank line or an event of the wrong shape is skipped
             try:
                 data = json.loads(raw)
                 event = json_fields(data, {"kind": str, "track_id": str, "status": str})

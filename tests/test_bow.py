@@ -10,11 +10,6 @@ from fixtures import make_bow_text
 from lyrecon.bow import (
     BowCorpus,
     BowParseError,
-    DuplicateTrackId,
-    IndexOutOfRange,
-    MalformedPair,
-    MissingVocabHeader,
-    NonPositiveCount,
     TrackBow,
     VocabTable,
     iter_bow,
@@ -33,7 +28,7 @@ def test_minimal_file():
 
 
 def test_comments_ignored_and_index_out_of_range():
-    with pytest.raises(IndexOutOfRange) as err:
+    with pytest.raises(BowParseError, match=r"^line 3: word index 3 outside 1\.\.2$") as err:
         load_bow("# comment\n%a,b\nT1,M1,3:1")
     assert err.value.line_no == 3
 
@@ -44,53 +39,61 @@ def test_crlf_and_trailing_blank_lines():
 
 
 def test_data_line_before_header():
-    with pytest.raises(MissingVocabHeader) as err:
+    with pytest.raises(BowParseError, match="data line before the % vocabulary header") as err:
         load_bow("T1,M1,1:1\n%a")
     assert err.value.line_no == 1
 
 
 def test_no_header_at_all():
-    with pytest.raises(MissingVocabHeader):
+    with pytest.raises(BowParseError, match="^no % vocabulary header in input$"):
         load_bow("# only a comment\n")
 
 
 def test_second_header_rejected():
-    with pytest.raises(BowParseError) as err:
+    with pytest.raises(BowParseError, match="second vocabulary header") as err:
         load_bow("%a\n%b\n")
     assert err.value.line_no == 2
 
 
 def test_duplicate_track_id():
-    with pytest.raises(DuplicateTrackId) as err:
+    with pytest.raises(BowParseError, match="track id 'T1' repeated") as err:
         load_bow("%a\nT1,,1:1\nT1,,1:2")
     assert err.value.line_no == 3
 
 
 def test_iter_bow_reads_the_header_at_once_and_each_track_as_taken():
-    with pytest.raises(MissingVocabHeader) as err:
+    with pytest.raises(BowParseError, match="data line before the % vocabulary header") as err:
         iter_bow("# comment\nT1,M1,1:1\n%a")
     assert err.value.line_no == 2
     vocab, tracks = iter_bow("%a,b\nT1,M1,1:1\nT2,M2,2:4\nT1,M1,2:1\n")
     assert vocab.words == ("a", "b")
     assert [next(tracks).track_id, next(tracks).track_id] == ["T1", "T2"]
-    with pytest.raises(DuplicateTrackId) as err:
+    with pytest.raises(BowParseError, match="track id 'T1' repeated") as err:
         next(tracks)
     assert err.value.line_no == 4
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["T1,M1,12", "T1,M1,a:1", "T1,M1,1:b", "T1,M1", "T1,M1,1:1,1:2"],
-)
+# a malformed data line -> how its message goes on after the line number
+MALFORMED = {
+    "T1,M1,12": "pair '12' has no ':'",
+    "T1,M1,a:1": "pair 'a:1' is not integer:integer",
+    "T1,M1,1:b": "pair '1:b' is not integer:integer",
+    "T1,M1": "expected track_id,source_id,idx:cnt,...",
+    "T1,M1,1:1,1:2": "duplicate word index 1",
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED)
 def test_malformed_pairs(line):
-    with pytest.raises(MalformedPair) as err:
+    with pytest.raises(BowParseError) as err:
         load_bow(f"%a,b\n{line}")
+    assert str(err.value) == f"line 2: {MALFORMED[line]}"
     assert err.value.line_no == 2
 
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_non_positive_count(count):
-    with pytest.raises(NonPositiveCount):
+    with pytest.raises(BowParseError, match=f"^line 2: count {count} for index 1$"):
         load_bow(f"%a\nT1,M1,1:{count}")
 
 
@@ -98,7 +101,7 @@ def test_non_positive_count(count):
     "header", ["%a,,b", "%a,a", "%a,b c", "%a,b:c"]
 )
 def test_bad_vocabulary_words(header):
-    with pytest.raises(BowParseError) as err:
+    with pytest.raises(BowParseError, match="^line 1: bad vocabulary: ") as err:
         load_bow(header + "\n")
     assert err.value.line_no == 1
 
@@ -146,8 +149,9 @@ def test_ordered_vocabulary_single_entry():
 def test_ordered_vocabulary_index_check():
     vocab = VocabTable(words=("x",))
     track = TrackBow(track_id="T", source_id="", counts={2: 1})
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BowParseError, match=r"^word index 2 outside 1\.\.1$") as err:
         ordered_vocabulary(track, vocab)
+    assert err.value.line_no is None
 
 
 # --- property tests ---------------------------------------------------------

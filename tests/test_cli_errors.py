@@ -237,6 +237,10 @@ EXPLICIT = {
         "reconstruct", [], "records.jsonl",
         ": line 3: track 'TRFIX00002X128F': needs genre tags and vocabulary words, "
         "none of them empty\n"),
+    "records-zero-mood-vector": (
+        _edit_line("records.jsonl", 2, lambda d: {**d, "valence": 0.0, "arousal": 0.0}),
+        "reconstruct", [], "records.jsonl",
+        ": line 2: track 'TRFIX00001X128F': mood angle undefined for valence=0, arousal=0\n"),
     "records-valence-as-text": (
         _edit_line("records.jsonl", 4, lambda d: {**d, "valence": str(d["valence"])}),
         "reconstruct", [], "records.jsonl", ": line 4: bad record object: valence"),

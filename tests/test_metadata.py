@@ -12,13 +12,7 @@ from lyrecon import cli
 from lyrecon.bow import iter_bow, load_bow, serialize_bow
 from lyrecon.metadata import (
     ColumnMap,
-    DuplicateId,
-    EmptyField,
-    EmptyGenre,
-    MalformedLine,
-    MissingColumn,
-    NonNumericValue,
-    ZeroMoodVector,
+    TableParseError,
     join_records,
     parse_genre_table,
     parse_mood_csv,
@@ -48,31 +42,31 @@ def test_mood_anchor_row():
 
 
 def test_mood_non_numeric():
-    with pytest.raises(NonNumericValue) as err:
+    with pytest.raises(TableParseError, match="track 'T1': valence/arousal not numeric") as err:
         _mood(MOOD_HEADER + "T1,abc,0.2\n")
     assert err.value.line_no == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_mood_non_finite(value):
-    with pytest.raises(NonNumericValue):
+    with pytest.raises(TableParseError, match="^line 2: track 'T1': non-finite value$"):
         _mood(MOOD_HEADER + f"T1,{value},0.2\n")
 
 
 def test_mood_zero_vector():
-    with pytest.raises(ZeroMoodVector) as err:
+    with pytest.raises(TableParseError, match="track 'T1': zero mood vector has no angle") as err:
         _mood(MOOD_HEADER + "T1,0,0.0\n")
     assert err.value.line_no == 2
 
 
 def test_mood_duplicate_id():
-    with pytest.raises(DuplicateId) as err:
+    with pytest.raises(TableParseError, match="track id 'T1' repeated") as err:
         _mood(MOOD_HEADER + "T1,1,1\nT1,2,2\n")
     assert err.value.line_no == 3
 
 
 def test_mood_missing_column():
-    with pytest.raises(MissingColumn):
+    with pytest.raises(TableParseError, match="^line 1: column 'arousal' not in header "):
         _mood("track_id,valence\nT1,1\n")
 
 
@@ -80,7 +74,7 @@ def test_mood_missing_column():
                          ids=["mood", "meta"])
 def test_csv_field_over_the_size_limit_is_a_malformed_line(parse, header):
     # the csv module refuses a field longer than 131,072 chars
-    with pytest.raises(MalformedLine) as err:
+    with pytest.raises(TableParseError, match="field larger than field limit") as err:
         parse(header + "T1,1,1\n" + "T2,1," + "9" * 131_073 + "\n")
     assert err.value.line_no == 3
 
@@ -90,7 +84,7 @@ def test_mood_custom_columns_and_delimiter():
     points = parse_mood_csv(io.StringIO("dzr_id,val,aro,extra\nT9,0.5,-0.25,x\n"), columns)
     assert points["T9"].arousal == -0.25
     # the table is CSV: a semicolon leaves the header one column
-    with pytest.raises(MissingColumn):
+    with pytest.raises(TableParseError, match="column 'dzr_id' not in header"):
         parse_mood_csv(io.StringIO("dzr_id;val;aro\nT9;0.5;-0.25\n"), columns)
 
 
@@ -112,13 +106,13 @@ def test_genre_duplicates_dropped():
 
 
 def test_genre_malformed_line():
-    with pytest.raises(MalformedLine) as err:
+    with pytest.raises(TableParseError, match="expected track_id<TAB>genre, got 1 fields") as err:
         parse_genre_table(io.StringIO("T1 Rock\n"))
     assert err.value.line_no == 1
 
 
 def test_genre_empty_genre():
-    with pytest.raises(EmptyGenre) as err:
+    with pytest.raises(TableParseError, match="track 'T1': empty genre") as err:
         parse_genre_table(io.StringIO("T1\t \n"))
     assert err.value.line_no == 1
 
@@ -138,7 +132,7 @@ def test_meta_anchor_row():
 
 
 def test_meta_empty_title():
-    with pytest.raises(EmptyField):
+    with pytest.raises(TableParseError, match="^line 2: track 'T1': empty title$"):
         _meta(META_HEADER + "T1,Muse,\n")
 
 

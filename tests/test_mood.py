@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lyrecon.mood import (
     CoverageGap,
-    IntervalOutOfRange,
     IntervalOverlap,
     MoodArc,
     MoodPoint,
@@ -39,7 +38,7 @@ def test_axis_and_diagonal_angles(valence, arousal, expected):
 
 
 def test_zero_vector_rejected():
-    with pytest.raises(ZeroMoodVector):
+    with pytest.raises(ZeroMoodVector, match="^mood angle undefined for valence=0, arousal=0$"):
         mood_angle(MoodPoint(0.0, 0.0))
 
 
@@ -117,22 +116,22 @@ def test_two_halves_validate():
 
 
 def test_overlap_rejected():
-    with pytest.raises(IntervalOverlap):
+    with pytest.raises(IntervalOverlap, match="^mood table entries 0 and 1 overlap$"):
         validate_mood_table(_table((0, PI, "up"), (PI - 0.1, 2 * PI, "down")))
 
 
 def test_gap_rejected():
-    with pytest.raises(CoverageGap):
+    with pytest.raises(CoverageGap, match=r"^mood table leaves a gap at theta=1\*pi$"):
         validate_mood_table(_table((0, PI, "up")))
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(IntervalOutOfRange):
+    with pytest.raises(MoodTableError, match=r"^mood table entry 0: end 2\.5\*pi outside"):
         validate_mood_table(_table((0, 2.5 * PI, "too far")))
 
 
 def test_zero_length_arc_rejected():
-    with pytest.raises(IntervalOutOfRange):
+    with pytest.raises(MoodTableError, match="^mood table entry 0: zero-length arc"):
         validate_mood_table(_table((0.5, 0.5, "nothing"), (0, 2 * PI, "all")))
 
 

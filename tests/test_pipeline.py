@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
@@ -24,7 +29,9 @@ from lyrecon.mood import MoodPoint, mood_angle
 from lyrecon.pipeline import (
     CorpusEntry,
     RecordsFormatError,
+    RunManifest,
     corpus_entry_line,
+    parse_entry,
     read_corpus,
     read_records,
     recover_corpus_file,
@@ -927,6 +934,73 @@ def test_reconstruct_regenerates_only_a_truncated_cache_entry(tmp_path):
     assert {k: v for k, v in after.items() if k != victim} == {
         k: v for k, v in before.items() if k != victim
     }
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory) -> Path:
+    """Records, corpus, manifest and cache of a finished six-track mock run."""
+    root = tmp_path_factory.mktemp("finished")
+    assert _reconstruct_mock(_join(root, 6, seed=5), root / "corpus.jsonl") == 0
+    return root
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
+    # any of: the corpus cut at a byte, the manifest cut at a byte after its
+    # header, one cache entry deleted; then the same command again
+    clean = (finished_run / "corpus.jsonl").read_bytes()
+    manifest = (finished_run / "corpus.jsonl.manifest").read_bytes()
+    lines = clean.splitlines(keepends=True)
+    corpus_cut = data.draw(st.none() | st.integers(0, len(clean) - 1))
+    manifest_cut = data.draw(
+        st.none() | st.integers(manifest.index(b"\n") + 1, len(manifest) - 1))
+    uncached = data.draw(st.none() | st.sampled_from(lines))
+    lost = {line for line, end in zip(lines, itertools.accumulate(map(len, lines)))
+            if corpus_cut is not None and end > corpus_cut}
+
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = work / "corpus.jsonl"
+    try:
+        shutil.copytree(finished_run, work, dirs_exist_ok=True)
+        if corpus_cut is not None:
+            os.truncate(out, corpus_cut)
+        if manifest_cut is not None:
+            os.truncate(work / "corpus.jsonl.manifest", manifest_cut)
+        if uncached is not None:
+            digest = parse_entry(uncached).prompt_digest
+            (work / "corpus.jsonl.cache" / digest[:2] / digest).unlink()
+        put = []
+        real_put = be.LyricsCache.put
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(be.LyricsCache, "put",
+                       lambda cache, entry: (put.append(entry.track_id),
+                                             real_put(cache, entry)))
+            assert _reconstruct_mock(work / "records.jsonl", out) == 0
+        assert out.read_bytes() == clean
+        # only a track whose corpus line and cache entry were both lost is generated
+        assert put == ([parse_entry(uncached).track_id] if uncached in lost else [])
+        header = json.loads(manifest.splitlines()[0])
+        replay = RunManifest.load(work / "corpus.jsonl.manifest",
+                                  header["config_digest"], header["records_digest"])
+        assert replay.status == {parse_entry(line).track_id: "done" for line in lines}
+    finally:
+        shutil.rmtree(work)
+
+
+def test_a_kill_while_creating_the_manifest_leaves_none(tmp_path, monkeypatch):
+    records = _join(tmp_path, 3, seed=2)
+    out = tmp_path / "corpus.jsonl"
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", killed)  # the header is written, not yet renamed
+    assert _reconstruct_mock(records, out) == 130
+    monkeypatch.undo()
+    assert not Path(str(out) + ".manifest").exists()
+    assert _reconstruct_mock(records, out) == 0
 
 
 def test_reconstruct_bad_endpoint_exits_2_with_one_line(tmp_path):
