@@ -14,7 +14,6 @@ from lyrecon.errors import LyreconError
 from lyrecon.evaluation import CorpusStats, bow_coverage, compare, corpus_stats, frequency_fidelity, stem_counts
 from lyrecon.metadata import (
     ColumnMap,
-    GenreTags,
     JoinReport,
     ReconstructionRecord,
     TrackMeta,

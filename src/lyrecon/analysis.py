@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from lyrecon.errors import LyreconError
 from lyrecon.porter import stem
 
 __all__ = [
-    "EmptyLexicon",
     "Lexicon",
     "LyricDoc",
     "load_lexicon",
@@ -28,10 +26,6 @@ __all__ = [
     "stem",
     "tokenize",
 ]
-
-
-class EmptyLexicon(LyreconError):
-    """A lexicon with no words cannot support a membership ratio."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -47,20 +41,15 @@ class LyricDoc:
     """One lyric set, segmented into lines and blank-line-delimited sections.
 
     ``tokens`` holds each non-blank line's tokens from :func:`tokenize`.
-    ``sections`` holds half-open ``(start, end)`` index ranges into
-    ``tokens``; together they cover every line exactly once.
+    ``section_count`` is the number of maximal runs of non-blank lines.
     """
 
-    sections: tuple[tuple[int, int], ...]
+    section_count: int
     tokens: tuple[tuple[str, ...], ...] = field(repr=False)
 
     @property
     def line_count(self) -> int:
         return len(self.tokens)
-
-    @property
-    def section_count(self) -> int:
-        return len(self.sections)
 
 
 def segment(text: str) -> LyricDoc:
@@ -70,20 +59,15 @@ def segment(text: str) -> LyricDoc:
     single section separator. CRLF input is accepted.
     """
     tokens: list[tuple[str, ...]] = []
-    sections: list[tuple[int, int]] = []
-    section_start: int | None = None
+    sections = 0
+    after_blank = True
     for line in text.split("\n"):
         words = tokenize(line)  # CRLF's "\r" is whitespace: tokenize drops it
         if words:
-            if section_start is None:
-                section_start = len(tokens)
+            sections += after_blank  # the first line of a non-blank run
             tokens.append(tuple(words))
-        elif section_start is not None:
-            sections.append((section_start, len(tokens)))
-            section_start = None
-    if section_start is not None:
-        sections.append((section_start, len(tokens)))
-    return LyricDoc(sections=tuple(sections), tokens=tuple(tokens))
+        after_blank = not words
+    return LyricDoc(section_count=sections, tokens=tuple(tokens))
 
 
 @dataclass(frozen=True)
@@ -95,32 +79,24 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         if not self.words:
-            raise EmptyLexicon(f"lexicon {self.name!r} has no words")
+            raise LyreconError(f"lexicon {self.name!r} has no words")
         bad = [w for w in self.words if w != w.lower() or not w]
         if bad:
             raise ValueError(f"lexicon {self.name!r} has non-lowercase entries: {bad[:5]}")
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
 
-
-def load_lexicon(source: Path | str | Iterable[str], name: str | None = None) -> Lexicon:
+def load_lexicon(path: Path | str, name: str | None = None) -> Lexicon:
     """Load a lexicon from a word-list file: one word per line, ``#`` comments.
 
-    Words are folded to lowercase on the way in.
+    Lines end at a line feed, a CR LF pair or a lone carriage return, and
+    at no other character. Words are folded to lowercase on the way in; the
+    name defaults to the file's stem.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        lines: Iterable[str] = path.read_text(encoding="utf-8").splitlines()
-        name = name or path.stem
-    else:
-        lines = source
-        name = name or "lexicon"
     words = set()
-    for raw in lines:
-        entry = raw.strip()
-        if not entry or entry.startswith("#"):
-            continue
-        words.add(entry.lower())
-    return Lexicon(name=name, words=frozenset(words))
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            entry = raw.strip()
+            if entry and not entry.startswith("#"):
+                words.add(entry.lower())
+    return Lexicon(name=name or Path(path).stem, words=frozenset(words))
 

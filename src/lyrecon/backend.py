@@ -354,9 +354,7 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
     )
 
 
-def generate(
-    prompt: Prompt, config: BackendConfig, cache: LyricsCache | None
-) -> CorpusEntry:
+def generate(prompt: Prompt, config: BackendConfig, cache: LyricsCache) -> CorpusEntry:
     """Produce lyrics for one prompt, serving repeats from the cache.
 
     A cache hit returns the stored result (original timestamp preserved,
@@ -366,10 +364,9 @@ def generate(
     digest = cache_key(
         prompt.text, config.model, config.temperature, config.max_output_tokens
     )
-    if cache is not None:
-        hit = cache.get(digest)
-        if hit is not None:
-            return replace(hit, track_id=prompt.track_id, cached=True)
+    hit = cache.get(digest)
+    if hit is not None:
+        return replace(hit, track_id=prompt.track_id, cached=True)
     if config.kind == "mock":
         lyrics = mock_generate(prompt)
         created_at = MOCK_TIMESTAMP
@@ -386,28 +383,25 @@ def generate(
         created_at=created_at,
         lyrics=lyrics,
     )
-    if cache is not None:
-        cache.put(result)
+    cache.put(result)
     return result
 
 
 @dataclass(frozen=True)
 class BatchItem:
+    """One prompt's outcome: ``result`` when it succeeded, else ``error``."""
+
     track_id: str
     result: CorpusEntry | None
     error: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
 
 
 def run_batch(
     prompts: Iterable[Prompt],
     config: BackendConfig,
-    cache: LyricsCache | None,
-    on_item: Callable[[BatchItem], None] | None = None,
-) -> list[BatchItem]:
+    cache: LyricsCache,
+    on_item: Callable[[BatchItem], None],
+) -> None:
     """Generate a batch with at most ``max_in_flight`` concurrent requests.
 
     ``prompts`` is read once, as it is needed: at most 64 prompts per
@@ -415,16 +409,13 @@ def run_batch(
     not grow with the batch. Items are handed to ``on_item`` in prompt
     order regardless of completion order, so callers can stream results
     to disk and still get deterministic files; an item handed over is not
-    kept, and the returned list holds the items only when ``on_item`` is
-    None. Per-track failures become failed items; they do not abort the
+    kept. Per-track failures become failed items; they do not abort the
     batch. A missing credential aborts before any work. Any exception,
     ``KeyboardInterrupt`` included, cancels the prompts not yet started,
     waits for the requests in flight, and is re-raised; what those
     requests return is cached for a rerun.
     """
     require_credential(config)
-    items: list[BatchItem] = []
-    emit = items.append if on_item is None else on_item
     window = _WINDOW_PER_WORKER * config.max_in_flight
     submitted: deque[tuple[str, Future]] = deque()
     with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
@@ -436,15 +427,14 @@ def run_batch(
                     # drain to half a window, then refill: workers get prompts
                     # in bursts instead of being woken once per prompt
                     while len(submitted) > window // 2:
-                        emit(_settle(*submitted.popleft()))
+                        on_item(_settle(*submitted.popleft()))
             while submitted:
-                emit(_settle(*submitted.popleft()))
+                on_item(_settle(*submitted.popleft()))
         except BaseException:
             # an interrupt or a failed write: drop the queued prompts, so
             # only the requests already in flight are sent and waited for
             pool.shutdown(wait=True, cancel_futures=True)
             raise
-    return items
 
 
 def _settle(track_id: str, future: Future) -> BatchItem:

@@ -175,8 +175,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         with _reading(manifest_path):
             manifest = RunManifest.load(manifest_path, config_digest, records_digest)
         with _reading(out):
-            # the recovered track ids, in file order
-            present = dict.fromkeys(e.track_id for e in recover_corpus_file(out))
+            present = dict.fromkeys(recover_corpus_file(out))
     else:
         if out.exists() and out.stat().st_size > 0:
             raise LyreconError(

@@ -5,7 +5,9 @@ line-oriented input format has one :class:`LineError` subclass:
 ``BowParseError`` (BoW file), ``TableParseError`` (mood, genre and meta
 tables), ``MoodTableError`` (mood arc table), ``RecordsFormatError``
 (records file) and ``CorpusFormatError`` (corpus file and cache entries);
-the run manifest's is ``ManifestMismatch``.
+the run manifest's is ``ManifestMismatch``. An error no caller tells
+apart by type, such as an empty lexicon, corpus or prompt field, or a mood
+point with no angle, is a plain ``LyreconError``.
 """
 
 

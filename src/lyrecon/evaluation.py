@@ -39,7 +39,6 @@ from lyrecon.errors import LyreconError
 __all__ = [
     "ComparisonReport",
     "CorpusStats",
-    "EmptyCorpus",
     "InsufficientOverlap",
     "LEFT_LABEL",
     "RIGHT_LABEL",
@@ -54,10 +53,6 @@ __all__ = [
     "render_stats_text",
     "stem_counts",
 ]
-
-
-class EmptyCorpus(LyreconError):
-    pass
 
 
 class InsufficientOverlap(LyreconError):
@@ -196,7 +191,7 @@ def corpus_stats(
                 stored = deduplicate()
                 limit = max(_DEDUPLICATE_AT, 4 * stored)
     if n == 0:
-        raise EmptyCorpus("no lyric sets to evaluate")
+        raise LyreconError("no lyric sets to evaluate")
     words = sum(tokens.values())
 
     def ratio(lexicon: Lexicon) -> float:

@@ -4,8 +4,11 @@ Three side tables accompany a BoW corpus:
 
 * a mood table (headered CSV) with valence and arousal columns,
 * a genre table (headerless TSV, ``track_id<TAB>genre``, one pair per
-  line, multiple lines per track accumulate),
+  line, multiple lines per track accumulate into a tuple of tags),
 * an artist/title table (headered CSV).
+
+Each parser returns a dict keyed by track id: a :class:`MoodPoint`, a
+tuple of genre tags, or a :class:`TrackMeta` per track.
 
 Column names are configuration (:class:`ColumnMap`), not hardcoded,
 because the upstream datasets do not share a schema. Track-id matching is
@@ -33,7 +36,6 @@ from lyrecon.mood import MoodPoint, MoodTable, mood_angle, mood_label
 
 __all__ = [
     "ColumnMap",
-    "GenreTags",
     "JoinReport",
     "ReconstructionRecord",
     "TableParseError",
@@ -80,12 +82,6 @@ class TrackMeta:
     track_id: str
     artist: str
     title: str
-
-
-@dataclass(frozen=True)
-class GenreTags:
-    track_id: str
-    tags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -196,8 +192,8 @@ def parse_track_meta(
     return metas
 
 
-def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, GenreTags]:
-    """Parse a headerless ``track_id<TAB>genre`` table.
+def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, tuple[str, ...]]:
+    """Parse a headerless ``track_id<TAB>genre`` table into each track's tags.
 
     Tags accumulate per track in file order; exact duplicates are dropped.
     ``#`` comment lines and blank lines are skipped (public genre releases
@@ -220,17 +216,14 @@ def parse_genre_table(stream: Iterable[str] | IO[str]) -> dict[str, GenreTags]:
         bucket = tags.setdefault(track_id, [])
         if genre not in bucket:
             bucket.append(genre)
-    return {
-        track_id: GenreTags(track_id=track_id, tags=tuple(genres))
-        for track_id, genres in tags.items()
-    }
+    return {track_id: tuple(genres) for track_id, genres in tags.items()}
 
 
 def join_records(
     vocab: VocabTable,
     tracks: Iterable[TrackBow],
     mood: dict[str, MoodPoint],
-    genres: dict[str, GenreTags],
+    genres: dict[str, tuple[str, ...]],
     meta: dict[str, TrackMeta],
     mood_table: MoodTable,
 ) -> tuple[list[ReconstructionRecord], JoinReport]:
@@ -255,7 +248,7 @@ def join_records(
                 track_id=track_id,
                 artist=meta[track_id].artist,
                 title=meta[track_id].title,
-                tags=genres[track_id].tags,
+                tags=genres[track_id],
                 mood=point,
                 theta=theta,
                 mood_label=mood_label(theta, mood_table),

@@ -10,6 +10,8 @@ circumplex anchors) can be replaced by any table that validates.
 Mood table file format: one arc per line, ``start end label``, angles
 written as multiples of pi so boundaries stay exact and readable. The arc
 whose start exceeds its end wraps through zero. ``#`` starts a comment.
+Lines end at a line feed, a CR LF pair or a lone carriage return, as in
+the other tables; no other character ends one.
 
 A table that does not parse or does not partition the circle raises
 :class:`MoodTableError`, with the line number where one line is to blame;
@@ -33,10 +35,6 @@ TWO_PI = 2.0 * math.pi
 # Tolerance for arcs abutting; dyadic multiples of pi compare exactly but
 # hand-written decimal tables deserve a little float slack.
 _EDGE_EPS = 1e-9
-
-
-class ZeroMoodVector(LyreconError):
-    """The (0, 0) mood point has no angle; raised by :func:`mood_angle`."""
 
 
 class MoodTableError(LineError):
@@ -95,10 +93,11 @@ def mood_angle(point: MoodPoint) -> float:
     """Angle in radians between the positive valence axis and the point.
 
     The two-argument arctangent of (arousal, valence), with 2*pi added to
-    negative results so the value lands in [0, 2*pi).
+    negative results so the value lands in [0, 2*pi). The (0, 0) point has
+    no angle and raises :class:`~lyrecon.errors.LyreconError`.
     """
     if point.valence == 0.0 and point.arousal == 0.0:
-        raise ZeroMoodVector("mood angle undefined for valence=0, arousal=0")
+        raise LyreconError("mood angle undefined for valence=0, arousal=0")
     theta = math.atan2(point.arousal, point.valence)
     if theta < 0.0:
         theta += TWO_PI
@@ -181,11 +180,13 @@ def parse_mood_table(lines: Iterable[str]) -> MoodTable:
 
 
 def load_mood_table(path: Path | str) -> MoodTable:
-    return parse_mood_table(Path(path).read_text(encoding="utf-8").splitlines())
+    with open(path, encoding="utf-8") as fh:
+        return parse_mood_table(fh)
 
 
 @functools.cache
 def default_mood_table() -> MoodTable:
     """The packaged eight-octant table (see data/mood_octants.txt)."""
-    text = resources.files("lyrecon").joinpath("data/mood_octants.txt").read_text("utf-8")
-    return parse_mood_table(text.splitlines())
+    path = resources.files("lyrecon").joinpath("data/mood_octants.txt")
+    with path.open(encoding="utf-8") as fh:
+        return parse_mood_table(fh)

@@ -37,7 +37,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from lyrecon.errors import LineError, LyreconError
 from lyrecon.metadata import ReconstructionRecord
-from lyrecon.mood import MoodPoint, ZeroMoodVector, mood_angle
+from lyrecon.mood import MoodPoint, mood_angle
 
 __all__ = [
     "CorpusEntry",
@@ -166,7 +166,7 @@ def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
         )
     try:
         theta_matches = math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9)
-    except ZeroMoodVector as exc:
+    except LyreconError as exc:  # the (0, 0) point has no angle
         raise RecordsFormatError(f"track {reprlib.repr(record.track_id)}: {exc}",
                                  line_no) from exc
     if not theta_matches:
@@ -259,8 +259,9 @@ def read_corpus(path: Path | str) -> list[CorpusEntry]:
     return list(iter_corpus(path))
 
 
-def recover_corpus_file(path: Path) -> list[CorpusEntry]:
-    """Read a possibly crash-truncated corpus file for resumption.
+def recover_corpus_file(path: Path) -> list[str]:
+    """Read a possibly crash-truncated corpus file for resumption; returns
+    its track ids in file order.
 
     Only the final line can be a partial write; if it lacks its newline or
     fails to parse, the file is cut back to the end of the line before it.
@@ -268,7 +269,7 @@ def recover_corpus_file(path: Path) -> list[CorpusEntry]:
     """
     if not path.exists():
         return []
-    entries: list[CorpusEntry] = []
+    track_ids: list[str] = []
     whole = 0  # bytes up to the end of the last whole line
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -276,7 +277,7 @@ def recover_corpus_file(path: Path) -> list[CorpusEntry]:
                 break  # a partial write: the final line
             if line.strip():
                 try:
-                    entries.append(parse_entry(line, line_no))
+                    track_ids.append(parse_entry(line, line_no).track_id)
                 except CorpusFormatError:
                     if fh.read(1):
                         raise
@@ -284,16 +285,18 @@ def recover_corpus_file(path: Path) -> list[CorpusEntry]:
             whole += len(line)
     if whole < path.stat().st_size:
         os.truncate(path, whole)
-    return entries
+    return track_ids
 
 
-def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> bool:
-    """Put corpus lines into the given track order; returns True if rewritten.
+def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> None:
+    """Put corpus lines into the given track order, unless they are in it.
 
     Used after a fully successful run: resumed retries may have appended
     out of record order, and a canonical file must not depend on failure
-    history. Only track ids and line offsets are held, and lines are read
-    back one at a time, so memory does not grow with the lyrics.
+    history. Only track ids and line offsets are held, and each line's
+    bytes are copied as they are, so memory does not grow with the lyrics.
+    Every line ends with its newline, as :func:`recover_corpus_file` and
+    the appends after it leave the file.
     """
     index = {track_id: i for i, track_id in enumerate(order)}
     placed = []  # (position in order, byte offset) per corpus line
@@ -304,15 +307,14 @@ def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> bool:
                 placed.append((index[parse_entry(line, line_no).track_id], offset))
             offset += len(line)
         if all(a[0] <= b[0] for a, b in zip(placed, placed[1:])):
-            return False
+            return
         placed.sort()
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as out:
+        with open(tmp, "wb") as out:
             for _, offset in placed:
                 fh.seek(offset)
-                out.write(corpus_entry_line(parse_entry(fh.readline())) + "\n")
+                out.write(fh.readline())
     os.replace(tmp, path)
-    return True
 
 
 # --- run manifest -----------------------------------------------------------
@@ -352,7 +354,8 @@ class RunManifest:
     def load(cls, path: Path, config_digest: str, records_digest: str) -> "RunManifest":
         """Replay an existing manifest, refusing to mix configurations. The
         header's ``total`` is not read: ``records_digest`` pins what it counts.
-        A last line without its newline, torn by a crash, is cut off the file."""
+        A last line without its newline, torn by a crash, is cut off the file;
+        a header whose newline alone was lost gets it back."""
         content = path.read_bytes()
         whole = content.rfind(b"\n") + 1  # bytes up to the end of the last whole line
         lines = content[:whole or len(content)].decode("utf-8").splitlines()
@@ -371,7 +374,11 @@ class RunManifest:
             )
         if header.get("records_digest") != records_digest:
             raise ManifestMismatch("manifest was written for a different records file")
-        if 0 < whole < len(content):  # so the next event starts a line of its own
+        # so the next event starts a line of its own
+        if whole == 0:
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+        elif whole < len(content):
             os.truncate(path, whole)
         manifest = cls(path, config_digest, records_digest)
         for raw in lines[1:]:

@@ -21,14 +21,6 @@ PROMPT_TEMPLATE = (
 )
 
 
-class EmptyTags(LyreconError):
-    pass
-
-
-class EmptyVocabulary(LyreconError):
-    pass
-
-
 @dataclass(frozen=True)
 class PromptFields:
     """The five substituted values, retained for audit."""
@@ -58,13 +50,13 @@ class Prompt:
 
 def genre_string(tags: Sequence[str]) -> str:
     if not tags:
-        raise EmptyTags("record has no genre tags")
+        raise LyreconError("record has no genre tags")
     return ", ".join(tags)
 
 
 def vocabulary_string(words: Sequence[str]) -> str:
     if not words:
-        raise EmptyVocabulary("record has no vocabulary words")
+        raise LyreconError("record has no vocabulary words")
     return ", ".join(words)
 
 

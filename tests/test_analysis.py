@@ -1,16 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lyrecon.analysis import (
-    EmptyLexicon,
-    Lexicon,
-    load_lexicon,
-    segment,
-    tokenize,
-)
+from lyrecon.analysis import Lexicon, load_lexicon, segment, tokenize
+from lyrecon.errors import LyreconError
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -43,7 +40,6 @@ def test_segment_lines_and_sections():
     doc = segment("a\nb\n\nc")
     assert doc.line_count == 3
     assert doc.section_count == 2
-    assert doc.sections == ((0, 2), (2, 3))
 
 
 def test_segment_blank_only():
@@ -66,26 +62,32 @@ def test_segment_crlf():
     assert doc.section_count == 2
 
 
-def test_sections_cover_lines_disjointly():
-    doc = segment("x\ny\n\nz\n\n\nw\nv")
-    covered = [i for start, end in doc.sections for i in range(start, end)]
-    assert covered == list(range(doc.line_count))
-    assert all(end > start for start, end in doc.sections)
+@given(st.lists(st.sampled_from(["x", "y z", "", "  ", "\r"])))
+def test_sections_cover_lines_disjointly(lines):
+    # each non-blank line is in exactly one section: a maximal non-blank run
+    doc = segment("\n".join(lines))
+    runs = [len(list(run)) for blank, run in
+            itertools.groupby(lines, key=lambda line: not line.split()) if not blank]
+    assert doc.section_count == len(runs)
+    assert doc.line_count == sum(runs)
 
 
 # --- lexicons ---------------------------------------------------------------
 
-def test_empty_lexicon_rejected():
-    with pytest.raises(EmptyLexicon):
+def test_empty_lexicon_rejected(tmp_path):
+    with pytest.raises(LyreconError, match="^lexicon 'x' has no words$"):
         Lexicon(name="x", words=frozenset())
-    with pytest.raises(EmptyLexicon):
-        load_lexicon(["# nothing", ""], "empty")
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing\n\n", encoding="utf-8")
+    with pytest.raises(LyreconError, match="^lexicon 'empty' has no words$"):
+        load_lexicon(path)
 
 
 def test_load_lexicon_folds_case_and_skips_comments(tmp_path):
     path = tmp_path / "lex.txt"
-    path.write_text("# a comment\nLove\nnight\n\nNIGHT\n", encoding="utf-8")
+    # a form feed, like U+2028 or U+0085, ends no line: the comment goes on
+    path.write_text("# a comment\nLove\nnight\n\nNIGHT\n"
+                    "# a comment \x0cnotaword\u2028neither\x85nor\n", encoding="utf-8")
     lex = load_lexicon(path)
     assert lex.words == frozenset({"love", "night"})
     assert lex.name == "lex"
-    assert "love" in lex

@@ -19,6 +19,7 @@ from lyrecon.backend import (
     AuthMissing,
     BackendConfig,
     BackendUnavailable,
+    BatchItem,
     EmptyCompletion,
     LyricsCache,
     cache_key,
@@ -52,6 +53,13 @@ def _live_config(server: FakeChatServer, **overrides) -> BackendConfig:
     )
     values.update(overrides)
     return BackendConfig(**values)
+
+
+def _run(prompts, config: BackendConfig, cache: LyricsCache) -> list[BatchItem]:
+    """``run_batch``'s items, collected in the order it hands them over."""
+    items: list[BatchItem] = []
+    run_batch(prompts, config, cache, on_item=items.append)
+    return items
 
 
 @pytest.fixture()
@@ -177,35 +185,35 @@ def test_live_5xx_retry_then_success(tmp_path, api_key):
         assert server.request_count == 2
 
 
-def test_backoff_delays_never_shrink(monkeypatch, api_key):
+def test_backoff_delays_never_shrink(tmp_path, monkeypatch, api_key):
     import lyrecon.backend as backend_module
 
     delays: list[float] = []
     monkeypatch.setattr(backend_module.time, "sleep", delays.append)
     with FakeChatServer(script=[429, 429, 429, 429, 200]) as server:
         config = _live_config(server, max_attempts=5, backoff_base=0.5)
-        generate(_prompt(), config, None)
+        generate(_prompt(), config, LyricsCache(tmp_path / "c"))
     assert delays == [0.5, 1.0, 2.0, 4.0]
     assert all(a <= b for a, b in zip(delays, delays[1:]))
 
 
-def test_live_4xx_fails_immediately(api_key):
+def test_live_4xx_fails_immediately(tmp_path, api_key):
     with FakeChatServer(script=[404]) as server:
         with pytest.raises(BackendUnavailable):
-            generate(_prompt(), _live_config(server), None)
+            generate(_prompt(), _live_config(server), LyricsCache(tmp_path / "c"))
         assert server.request_count == 1
 
 
-def test_live_blank_completion(api_key):
+def test_live_blank_completion(tmp_path, api_key):
     with FakeChatServer(blank_completion=True) as server:
         with pytest.raises(EmptyCompletion):
-            generate(_prompt(), _live_config(server), None)
+            generate(_prompt(), _live_config(server), LyricsCache(tmp_path / "c"))
 
 
-def test_live_sends_bearer_and_wire_format(api_key):
+def test_live_sends_bearer_and_wire_format(tmp_path, api_key):
     with FakeChatServer() as server:
         config = _live_config(server, temperature=0.3, max_output_tokens=77)
-        generate(_prompt(), config, None)
+        generate(_prompt(), config, LyricsCache(tmp_path / "c"))
         request = server.requests[0]
         assert request["headers"]["Authorization"] == "Bearer test-key-123"
         assert request["headers"]["Content-Type"] == "application/json"
@@ -219,11 +227,11 @@ def test_live_sends_bearer_and_wire_format(api_key):
         ]
 
 
-def test_auth_missing(monkeypatch):
+def test_auth_missing(tmp_path, monkeypatch):
     monkeypatch.delenv("LYRECON_API_KEY", raising=False)
     with FakeChatServer() as server:
         with pytest.raises(AuthMissing):
-            generate(_prompt(), _live_config(server), None)
+            generate(_prompt(), _live_config(server), LyricsCache(tmp_path / "c"))
         assert server.request_count == 0
 
 
@@ -233,21 +241,21 @@ def test_batch_concurrency_bound(tmp_path, api_key):
     prompts = [_prompt(track_id=f"T{i}", vocabulary=f"love, word{i}") for i in range(12)]
     with FakeChatServer(hold_seconds=0.05) as server:
         config = _live_config(server, max_in_flight=3)
-        items = run_batch(prompts, config, LyricsCache(tmp_path / "c"))
+        items = _run(prompts, config, LyricsCache(tmp_path / "c"))
         assert server.max_in_flight <= 3
         assert server.request_count == 12
     assert [i.track_id for i in items] == [p.track_id for p in prompts]
-    assert all(i.ok for i in items)
+    assert all(i.result is not None for i in items)
 
 
 def test_batch_failures_do_not_abort(tmp_path, api_key):
     prompts = [_prompt(track_id=f"T{i}", vocabulary=f"love, word{i}") for i in range(4)]
     with FakeChatServer(script=[200, 500, 500, 500, 200, 200]) as server:
         config = _live_config(server, max_attempts=1, max_in_flight=1)
-        items = run_batch(prompts, config, LyricsCache(tmp_path / "c"))
-    flags = [item.ok for item in items]
+        items = _run(prompts, config, LyricsCache(tmp_path / "c"))
+    flags = [item.result is not None for item in items]
     assert flags == [True, False, False, False]
-    failed = [item for item in items if not item.ok]
+    failed = [item for item in items if item.result is None]
     assert all("BackendUnavailable" in item.error for item in failed)
 
 
@@ -256,21 +264,21 @@ def test_batch_rerun_hits_cache_only(tmp_path, api_key):
     with FakeChatServer() as server:
         config = _live_config(server)
         cache = LyricsCache(tmp_path / "c")
-        first = run_batch(prompts, config, cache)
+        first = _run(prompts, config, cache)
         assert server.request_count == 6
         server.mark()
-        second = run_batch(prompts, config, cache)
+        second = _run(prompts, config, cache)
         assert server.requests_since_mark == 0
     assert [i.result.lyrics for i in first] == [i.result.lyrics for i in second]
     assert [i.result.created_at for i in first] == [i.result.created_at for i in second]
     assert all(i.result.cached for i in second)
 
 
-def test_batch_auth_checked_before_any_work(monkeypatch):
+def test_batch_auth_checked_before_any_work(tmp_path, monkeypatch):
     monkeypatch.delenv("LYRECON_API_KEY", raising=False)
     with FakeChatServer() as server:
         with pytest.raises(AuthMissing):
-            run_batch([_prompt()], _live_config(server), None)
+            _run([_prompt()], _live_config(server), LyricsCache(tmp_path / "c"))
         assert server.request_count == 0
 
 
@@ -279,7 +287,7 @@ def _mock_prompts(n: int):
     return (_prompt(track_id=f"T{i}", vocabulary=f"love, word{i}") for i in range(n))
 
 
-def test_batch_reads_prompts_once_within_a_fixed_window():
+def test_batch_reads_prompts_once_within_a_fixed_window(tmp_path):
     config = BackendConfig(kind="mock", max_in_flight=2)
     window = backend_module._WINDOW_PER_WORKER * config.max_in_flight
     handed_out = 0
@@ -295,21 +303,21 @@ def test_batch_reads_prompts_once_within_a_fixed_window():
 
     def on_item(item):
         assert handed_out - len(emitted) <= window
-        assert item.ok
+        assert item.result is not None
         emitted.append(item.track_id)
 
-    items = run_batch(counted(_mock_prompts(n)), config, None, on_item=on_item)
+    run_batch(counted(_mock_prompts(n)), config, LyricsCache(tmp_path / "c"), on_item=on_item)
     assert emitted == [f"T{i}" for i in range(n)]
-    assert items == []
 
 
-def test_batch_memory_does_not_grow_with_batch_size():
+def test_batch_memory_does_not_grow_with_batch_size(tmp_path):
     config = BackendConfig(kind="mock", max_in_flight=2)
 
     def peak_bytes(n: int) -> int:
         tracemalloc.start()
         try:
-            run_batch(_mock_prompts(n), config, None, on_item=lambda item: None)
+            run_batch(_mock_prompts(n), config, LyricsCache(tmp_path / str(n)),
+                      on_item=lambda item: None)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -411,55 +419,55 @@ BROKEN_REPLIES = {
 
 
 @pytest.mark.parametrize("case", BROKEN_REPLIES)
-def test_any_transport_error_ends_as_failed_item(api_key, case):
+def test_any_transport_error_ends_as_failed_item(tmp_path, api_key, case):
     with FakeChatServer(raw_reply=BROKEN_REPLIES[case]) as server:
         config = _live_config(server, max_attempts=2, backoff_base=0.0)
-        items = run_batch([_prompt()], config, None)
+        items = _run([_prompt()], config, LyricsCache(tmp_path / "c"))
         assert server.request_count == 2
-    assert not items[0].ok
+    assert items[0].result is None
     assert "BackendUnavailable" in items[0].error
     cause = {"cut-mid-body": "IncompleteRead", "closed-before-reply": "RemoteDisconnected"}
     assert f"(last: {cause[case]}: " in items[0].error
 
 
-def test_live_401_is_one_attempt_and_a_failed_item(api_key):
+def test_live_401_is_one_attempt_and_a_failed_item(tmp_path, api_key):
     with FakeChatServer(script=[401]) as server:
-        items = run_batch([_prompt()], _live_config(server), None)
+        items = _run([_prompt()], _live_config(server), LyricsCache(tmp_path / "c"))
         assert server.request_count == 1
-    assert not items[0].ok
+    assert items[0].result is None
     assert items[0].error == "BackendUnavailable: backend rejected request: HTTP 401"
 
 
 @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
-def test_live_redirect_is_refused_and_never_followed(api_key, status):
+def test_live_redirect_is_refused_and_never_followed(tmp_path, api_key, status):
     with FakeChatServer() as elsewhere:
         reply = (f"HTTP/1.1 {status} Moved\r\nLocation: {elsewhere.endpoint}\r\n"
                  "Content-Length: 0\r\n\r\n").encode()
         with FakeChatServer(raw_reply=reply) as server:
-            items = run_batch([_prompt()], _live_config(server), None)
+            items = _run([_prompt()], _live_config(server), LyricsCache(tmp_path / "c"))
             assert server.request_count == 1
         # the key would go with the request to the host the redirect names
         assert elsewhere.request_count == 0
-    assert not items[0].ok
+    assert items[0].result is None
     assert items[0].error == f"BackendUnavailable: backend rejected request: HTTP {status}"
 
 
-def test_live_200_that_is_not_json_is_an_unexpected_shape(api_key):
+def test_live_200_that_is_not_json_is_an_unexpected_shape(tmp_path, api_key):
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nnot json!"
     with FakeChatServer(raw_reply=reply) as server:
         with pytest.raises(BackendUnavailable, match="unexpected response shape"):
-            generate(_prompt(), _live_config(server), None)
+            generate(_prompt(), _live_config(server), LyricsCache(tmp_path / "c"))
         assert server.request_count == 1
 
 
-def test_refused_endpoint_is_tried_max_attempts_times(monkeypatch, api_key):
+def test_refused_endpoint_is_tried_max_attempts_times(tmp_path, monkeypatch, api_key):
     delays: list[float] = []
     monkeypatch.setattr(backend_module.time, "sleep", delays.append)
     config = BackendConfig(kind="live", endpoint=refused_endpoint(),
                            max_attempts=4, backoff_base=0.5)
-    items = run_batch([_prompt()], config, None)
+    items = _run([_prompt()], config, LyricsCache(tmp_path / "c"))
     assert delays == [0.5, 1.0, 2.0]  # one before each attempt after the first
-    assert not items[0].ok
+    assert items[0].result is None
     assert "after 4 attempts (last: URLError: " in items[0].error
     assert "refused" in items[0].error
 

@@ -14,8 +14,8 @@ from fixtures import ABSTRACT_WORDS, CONCRETE_WORDS
 from lyrecon import evaluation, porter
 from lyrecon.analysis import Lexicon, segment
 from lyrecon.bow import TrackBow, VocabTable
+from lyrecon.errors import LyreconError
 from lyrecon.evaluation import (
-    EmptyCorpus,
     InsufficientOverlap,
     bow_coverage,
     compare,
@@ -66,7 +66,7 @@ def test_duplicate_docs_share_gram_sets():
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(LyreconError, match="^no lyric sets to evaluate$"):
         corpus_stats([], ABSTRACT, CONCRETE)
 
 
@@ -216,7 +216,7 @@ def test_corpus_stats_memory_is_flat_per_distinct_ngram():
 
 
 def test_empty_stream_rejected():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(LyreconError, match="^no lyric sets to evaluate$"):
         corpus_stats((segment(t) for t in ()), ABSTRACT, CONCRETE)
 
 

@@ -92,17 +92,17 @@ def test_mood_custom_columns_and_delimiter():
 
 def test_genre_anchor_line():
     tags = parse_genre_table(io.StringIO("TRSEKGD128F42B654D\tExperimental\n"))
-    assert tags["TRSEKGD128F42B654D"].tags == ("Experimental",)
+    assert tags["TRSEKGD128F42B654D"] == ("Experimental",)
 
 
 def test_genre_accumulates_in_order():
     tags = parse_genre_table(io.StringIO("T1\tRock\nT1\tIndie\n"))
-    assert tags["T1"].tags == ("Rock", "Indie")
+    assert tags["T1"] == ("Rock", "Indie")
 
 
 def test_genre_duplicates_dropped():
     tags = parse_genre_table(io.StringIO("T1\tRock\nT1\tRock\n"))
-    assert tags["T1"].tags == ("Rock",)
+    assert tags["T1"] == ("Rock",)
 
 
 def test_genre_malformed_line():
@@ -119,7 +119,7 @@ def test_genre_empty_genre():
 
 def test_genre_comments_skipped():
     tags = parse_genre_table(io.StringIO("# header\n\nT1\tFolk\n"))
-    assert tags["T1"].tags == ("Folk",)
+    assert tags["T1"] == ("Folk",)
 
 
 # --- track meta -------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_join_record_fields_recomputable(tmp_path):
         assert record.theta == mood_angle(record.mood)
         assert 0.0 <= record.theta < 2 * math.pi
         assert record.mood_label in labels
-        assert record.tags == genres[record.track_id].tags
+        assert record.tags == genres[record.track_id]
         assert len(record.vocabulary) == len(tracks[record.track_id].counts)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lyrecon.errors import LyreconError
 from lyrecon.mood import (
     CoverageGap,
     IntervalOverlap,
@@ -13,8 +14,8 @@ from lyrecon.mood import (
     MoodPoint,
     MoodTable,
     MoodTableError,
-    ZeroMoodVector,
     default_mood_table,
+    load_mood_table,
     mood_angle,
     mood_label,
     parse_mood_table,
@@ -38,7 +39,7 @@ def test_axis_and_diagonal_angles(valence, arousal, expected):
 
 
 def test_zero_vector_rejected():
-    with pytest.raises(ZeroMoodVector, match="^mood angle undefined for valence=0, arousal=0$"):
+    with pytest.raises(LyreconError, match="^mood angle undefined for valence=0, arousal=0$"):
         mood_angle(MoodPoint(0.0, 0.0))
 
 
@@ -145,7 +146,7 @@ def test_wraparound_covers_zero():
 
 # --- table file format ------------------------------------------------------
 
-def test_parse_table_file_format():
+def test_parse_table_file_format(tmp_path):
     table = parse_mood_table([
         "# comment",
         "1.5 0.5 low side",
@@ -153,6 +154,11 @@ def test_parse_table_file_format():
     ])
     assert mood_label(0.0, table) == "low side"
     assert mood_label(PI, table) == "high side"
+    # from a file: a form feed, like U+2028 or U+0085, ends no line
+    path = tmp_path / "arcs.txt"
+    path.write_text("# comment \x0chere\u20280 2 all\x85\n"
+                    "1.5 0.5 low side\r\n0.5 1.5 high side\n", encoding="utf-8")
+    assert load_mood_table(path) == table
 
 
 def test_parse_table_rejects_bad_lines():

@@ -106,8 +106,7 @@ def test_recover_drops_torn_tail(tmp_path):
     entry = CorpusEntry("T", "d" * 64, "m", "2024-01-01T00:00:00+00:00", "la")
     good = corpus_entry_line(entry) + "\n"
     path.write_text(good + '{"track_id": "half', encoding="utf-8")
-    entries = recover_corpus_file(path)
-    assert [e.track_id for e in entries] == ["T"]
+    assert recover_corpus_file(path) == ["T"]
     assert path.read_text(encoding="utf-8") == good
 
 
@@ -118,7 +117,7 @@ def test_recover_drops_last_line_cut_before_its_newline(tmp_path):
     second = CorpusEntry("U", "e" * 64, "m", "2024-01-01T00:00:00+00:00", "lo")
     good = corpus_entry_line(first) + "\n"
     path.write_text(good + corpus_entry_line(second), encoding="utf-8")
-    assert [e.track_id for e in recover_corpus_file(path)] == ["T"]
+    assert recover_corpus_file(path) == ["T"]
     assert path.read_text(encoding="utf-8") == good
 
 
@@ -129,7 +128,7 @@ def test_recover_splits_lines_on_newlines_only(tmp_path):
                         "one\u2028two\x85three")
     good = corpus_entry_line(entry) + "\n"
     path.write_text(good + '{"track_id": "half', encoding="utf-8")
-    assert recover_corpus_file(path) == [entry]
+    assert recover_corpus_file(path) == ["T"]
     assert path.read_text(encoding="utf-8") == good
 
 
@@ -227,40 +226,68 @@ def test_reconstruct_mock_is_deterministic_across_fresh_runs(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_reconstruct_resume_after_interrupt(tmp_path, monkeypatch):
-    records = _join(tmp_path, 100, seed=9)
-    reference = tmp_path / "single" / "corpus.jsonl"
-    reference.parent.mkdir()
-    assert _reconstruct_mock(records, reference) == 0
+@pytest.fixture(scope="module")
+def uninterrupted_run(tmp_path_factory) -> tuple[Path, bytes]:
+    """Records and the corpus of an uninterrupted mock run over them."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    records = _join(root, 30, seed=9)
+    assert _reconstruct_mock(records, root / "corpus.jsonl") == 0
+    return records, (root / "corpus.jsonl").read_bytes()
 
-    out = tmp_path / "resumed" / "corpus.jsonl"
-    out.parent.mkdir()
-    real_run_batch = be.run_batch
 
-    def interrupted_run_batch(prompts, config, cache, on_item=None):
-        seen = 0
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reconstruct_resume_after_interrupt(uninterrupted_run, tmp_path, data):
+    # Ctrl-C while the k-th item is handed over: before its corpus line is
+    # written, between the line's flush and its manifest "done", or after both
+    records, clean = uninterrupted_run
+    track_ids = [parse_entry(line).track_id for line in clean.splitlines()]
+    k = data.draw(st.integers(0, len(track_ids) - 1))
+    phase = data.draw(st.sampled_from(["before-write", "before-done", "after-done"]))
 
-        def wrapper(item):
-            nonlocal seen
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = work / "corpus.jsonl"
+    real_run_batch, real_done, real_put = be.run_batch, RunManifest.done, be.LyricsCache.put
+
+    def interrupted_run_batch(prompts, config, cache, on_item):
+        def handed_over(item):
+            if item.track_id == track_ids[k] and phase == "before-write":
+                raise KeyboardInterrupt
             on_item(item)
-            seen += 1
-            if seen >= 50:
+            if item.track_id == track_ids[k] and phase == "after-done":
                 raise KeyboardInterrupt
 
-        return real_run_batch(prompts, config, cache, on_item=wrapper)
+        real_run_batch(prompts, config, cache, on_item=handed_over)
 
-    monkeypatch.setattr(be, "run_batch", interrupted_run_batch)
-    assert _reconstruct_mock(records, out) == 130
-    monkeypatch.setattr(be, "run_batch", real_run_batch)
+    def done(manifest, track_id):
+        if track_id == track_ids[k] and phase == "before-done":
+            raise KeyboardInterrupt
+        real_done(manifest, track_id)
 
-    partial = read_corpus(out)
-    assert len(partial) == 50
-    assert _reconstruct_mock(records, out) == 0
-    assert out.read_bytes() == reference.read_bytes()
-
-    manifest_lines = (out.parent / "corpus.jsonl.manifest").read_text().splitlines()
-    done = sum(1 for line in manifest_lines if '"done"' in line)
-    assert done == len(read_corpus(out))
+    puts: list[str] = []
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(be.LyricsCache, "put",
+                       lambda cache, entry: (puts.append(entry.track_id),
+                                             real_put(cache, entry)))
+            with pytest.MonkeyPatch.context() as kill:
+                kill.setattr(be, "run_batch", interrupted_run_batch)
+                kill.setattr(RunManifest, "done", done)
+                assert _reconstruct_mock(records, out) == 130
+            assert len(read_corpus(out)) == (k if phase == "before-write" else k + 1)
+            cached = set(puts)
+            puts.clear()
+            assert _reconstruct_mock(records, out) == 0
+        assert out.read_bytes() == clean
+        # the resume generates exactly the tracks the interrupted run never cached
+        assert sorted(puts) == sorted(set(track_ids) - cached)
+        header = json.loads((work / "corpus.jsonl.manifest").read_text().splitlines()[0])
+        replay = RunManifest.load(work / "corpus.jsonl.manifest",
+                                  header["config_digest"], header["records_digest"])
+        assert replay.status == dict.fromkeys(track_ids, "done")
+    finally:
+        shutil.rmtree(work)
 
 
 def test_reconstruct_vocabulary_cap_changes_run_identity(tmp_path):
@@ -429,8 +456,11 @@ def test_reconstruct_live_missing_key_no_partial_state(tmp_path, monkeypatch):
 def test_reconstruct_live_fail_then_resume_counts_calls(tmp_path, monkeypatch):
     monkeypatch.setenv("LYRECON_API_KEY", "k")
     records = _join(tmp_path, 100, seed=5)
+    track_ids = [r.track_id for r in read_records(records)]
     out = tmp_path / "corpus.jsonl"
-    with FakeChatServer(script=[200] * 50 + [500] * 200) as server:
+    # tracks 25 to 49 fail; their retries are appended after the tracks
+    # that follow them, so the finished corpus is put back in record order
+    with FakeChatServer(script=[200] * 25 + [500] * 25) as server:
         args = [
             "reconstruct", "--records", str(records), "-o", str(out),
             "--backend", "live", "--endpoint", server.endpoint,
@@ -438,15 +468,17 @@ def test_reconstruct_live_fail_then_resume_counts_calls(tmp_path, monkeypatch):
             "--backoff-base", "0.001",
         ]
         assert cli.main(args) == 4
-        assert len(read_corpus(out)) == 50
+        first = out.read_bytes().splitlines(keepends=True)
+        assert [parse_entry(line).track_id for line in first] == \
+            track_ids[:25] + track_ids[50:]
 
-        server.set_script([])  # healthy from now on
         server.mark()
         assert cli.main(args) == 0
-        assert server.requests_since_mark == 50
+        assert server.requests_since_mark == 25
 
-    entries = read_corpus(out)
-    assert [e.track_id for e in entries] == [r.track_id for r in read_records(records)]
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert [parse_entry(line).track_id for line in lines] == track_ids
+    assert lines[:25] + lines[50:] == first  # each line's bytes are kept
 
 
 def test_reconstruct_live_rerun_uses_cache_only(tmp_path, monkeypatch):
@@ -948,14 +980,14 @@ def finished_run(tmp_path_factory) -> Path:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
-    # any of: the corpus cut at a byte, the manifest cut at a byte after its
-    # header, one cache entry deleted; then the same command again
+    # any of: the corpus cut at a byte, the manifest cut at a byte from its
+    # header's newline on, one cache entry deleted; then the same command, twice
     clean = (finished_run / "corpus.jsonl").read_bytes()
     manifest = (finished_run / "corpus.jsonl.manifest").read_bytes()
     lines = clean.splitlines(keepends=True)
     corpus_cut = data.draw(st.none() | st.integers(0, len(clean) - 1))
     manifest_cut = data.draw(
-        st.none() | st.integers(manifest.index(b"\n") + 1, len(manifest) - 1))
+        st.none() | st.integers(manifest.index(b"\n"), len(manifest) - 1))
     uncached = data.draw(st.none() | st.sampled_from(lines))
     lost = {line for line, end in zip(lines, itertools.accumulate(map(len, lines)))
             if corpus_cut is not None and end > corpus_cut}
@@ -977,14 +1009,15 @@ def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
             mp.setattr(be.LyricsCache, "put",
                        lambda cache, entry: (put.append(entry.track_id),
                                              real_put(cache, entry)))
-            assert _reconstruct_mock(work / "records.jsonl", out) == 0
-        assert out.read_bytes() == clean
+            for _ in range(2):
+                assert _reconstruct_mock(work / "records.jsonl", out) == 0
+                assert out.read_bytes() == clean
+                header = json.loads(manifest.splitlines()[0])
+                replay = RunManifest.load(work / "corpus.jsonl.manifest",
+                                          header["config_digest"], header["records_digest"])
+                assert replay.status == {parse_entry(line).track_id: "done" for line in lines}
         # only a track whose corpus line and cache entry were both lost is generated
         assert put == ([parse_entry(uncached).track_id] if uncached in lost else [])
-        header = json.loads(manifest.splitlines()[0])
-        replay = RunManifest.load(work / "corpus.jsonl.manifest",
-                                  header["config_digest"], header["records_digest"])
-        assert replay.status == {parse_entry(line).track_id: "done" for line in lines}
     finally:
         shutil.rmtree(work)
 

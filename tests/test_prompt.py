@@ -6,15 +6,10 @@ import re
 import pytest
 
 from fixtures import FIXTURE_WORDS
+from lyrecon.errors import LyreconError
 from lyrecon.metadata import ReconstructionRecord
 from lyrecon.mood import MoodPoint, default_mood_table, mood_angle, mood_label
-from lyrecon.prompt import (
-    EmptyTags,
-    EmptyVocabulary,
-    build_prompt,
-    genre_string,
-    vocabulary_string,
-)
+from lyrecon.prompt import build_prompt, genre_string, vocabulary_string
 
 ANCHORED = re.compile(
     r"^Compose .* lyrics, in a style reminiscent of .* which represents "
@@ -43,14 +38,14 @@ def _record(**overrides) -> ReconstructionRecord:
 def test_genre_string():
     assert genre_string(["Experimental"]) == "Experimental"
     assert genre_string(["Rock", "Indie"]) == "Rock, Indie"
-    with pytest.raises(EmptyTags):
+    with pytest.raises(LyreconError, match="^record has no genre tags$"):
         genre_string([])
 
 
 def test_vocabulary_string():
     assert vocabulary_string(["love", "night"]) == "love, night"
     assert vocabulary_string(["love"]) == "love"
-    with pytest.raises(EmptyVocabulary):
+    with pytest.raises(LyreconError, match="^record has no vocabulary words$"):
         vocabulary_string([])
 
 
