@@ -16,7 +16,6 @@ from lyrecon.metadata import (
     ColumnMap,
     JoinReport,
     ReconstructionRecord,
-    TrackMeta,
     join_records,
     parse_genre_table,
     parse_mood_csv,

@@ -114,9 +114,6 @@ class BowCorpus:
                         f"track {track.track_id}: word index {index} > vocabulary size {size}"
                     )
 
-    def by_track_id(self) -> dict[str, TrackBow]:
-        return {track.track_id: track for track in self.tracks}
-
 
 def _parse_vocab_line(body: str, line_no: int) -> VocabTable:
     words = body.split(",")

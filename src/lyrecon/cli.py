@@ -20,6 +20,7 @@ import json
 import statistics
 import sys
 import typing
+from array import array
 from pathlib import Path
 
 from lyrecon import backend as be
@@ -27,7 +28,7 @@ from lyrecon import evaluation as ev
 from lyrecon import metadata as md
 from lyrecon import mood as mood_mod
 from lyrecon.analysis import LyricDoc, load_lexicon, segment
-from lyrecon.bow import BowCorpus, iter_bow, load_bow
+from lyrecon.bow import TrackBow, VocabTable, iter_bow
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
     RunManifest,
@@ -181,9 +182,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             raise LyreconError(
                 f"{out}: exists without a manifest; refusing to append to it"
             )
-        manifest = RunManifest.create(
-            manifest_path, config_digest, records_digest, len(records)
-        )
+        try:
+            manifest = RunManifest.create(
+                manifest_path, config_digest, records_digest, len(records)
+            )
+        except OSError as exc:  # blame the path given, not the manifest's temp file
+            raise LyreconError(f"{out}: {exc.strerror or exc}") from exc
         present = {}
 
     record_ids = [r.track_id for r in records]
@@ -253,20 +257,48 @@ def _read_stats_json(path: str) -> ev.CorpusStats:
 
 class _FidelityTable:
     """Coverage and rank correlation of each corpus track found in a BoW file,
-    scored as the corpus streams past."""
+    scored as the corpus streams past.
 
-    def __init__(self, corpus: BowCorpus) -> None:
-        self.vocab = corpus.vocab
-        self.tracks = corpus.by_track_id()
+    The BoW is held flat rather than as a ``TrackBow`` per track: the word
+    indices and counts of every track, each track's pairs in file order,
+    sit in one index array (2 B a pair below 65,536 words, else 4 B) and
+    one count array (4 B a pair). Track ``slot`` owns positions
+    ``offsets[slot]`` to ``offsets[slot + 1]``, and ``slots`` maps a track
+    id to its slot. A track with a count of 2**32 or more, which the
+    format allows, keeps its counts dict in ``whole`` instead. ``score``
+    rebuilds a track's counts only when the corpus names it.
+    """
+
+    def __init__(self, vocab: VocabTable, tracks: typing.Iterable[TrackBow]) -> None:
+        self.vocab = vocab
+        self.indices = array("H" if len(vocab) < 1 << 16 else "I")
+        self.counts = array("I")
+        self.offsets = array("Q", [0])
+        self.slots: dict[str, int] = {}
+        self.whole: dict[int, dict[int, int]] = {}
+        for track in tracks:
+            slot = self.slots[track.track_id] = len(self.offsets) - 1
+            try:
+                self.counts.extend(track.counts.values())
+                self.indices.extend(track.counts)
+            except OverflowError:
+                del self.counts[self.offsets[slot]:]
+                self.whole[slot] = track.counts
+            self.offsets.append(len(self.counts))
         self.stems: dict[str, str] = {}  # each token type is stemmed once per run
         self.rows: list[str] = []
         self.coverages: list[float] = []
         self.correlations: list[float] = []
 
     def score(self, track_id: str, doc: LyricDoc) -> None:
-        track = self.tracks.get(track_id)
-        if track is None:
+        slot = self.slots.get(track_id)
+        if slot is None:
             return
+        counts = self.whole.get(slot)
+        if counts is None:
+            start, end = self.offsets[slot], self.offsets[slot + 1]
+            counts = dict(zip(self.indices[start:end], self.counts[start:end]))
+        track = TrackBow(track_id, "", counts)  # no score reads the source id
         doc_stems = ev.stem_counts(doc, self.stems)
         coverage = ev.bow_coverage(doc_stems, track, self.vocab)
         self.coverages.append(coverage)
@@ -296,6 +328,13 @@ class _FidelityTable:
                             + "\n".join(self.rows) + "\n",
             "fidelity_summary.json": json.dumps(summary, indent=2) + "\n",
         }, mean_coverage
+
+
+# bench/layertrace.py wraps this name to time the bow.load layer
+def load_bow(source: typing.IO[str]) -> _FidelityTable:
+    """A BoW file parsed and validated once through ``iter_bow``, whole,
+    into the flat table that evaluate scores from."""
+    return _FidelityTable(*iter_bow(source))
 
 
 def _segmented(path: str, score=None) -> typing.Iterator[LyricDoc]:
@@ -344,7 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     fidelity = None
     if args.bow:
         with _reading(args.bow), open(args.bow, encoding="utf-8") as fh:
-            fidelity = _FidelityTable(load_bow(fh))
+            fidelity = load_bow(fh)
     with _reading(args.corpus):
         stats = ev.corpus_stats(
             _segmented(args.corpus, fidelity.score if fidelity else None),

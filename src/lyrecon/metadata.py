@@ -8,7 +8,7 @@ Three side tables accompany a BoW corpus:
 * an artist/title table (headered CSV).
 
 Each parser returns a dict keyed by track id: a :class:`MoodPoint`, a
-tuple of genre tags, or a :class:`TrackMeta` per track.
+tuple of genre tags, or an ``(artist, title)`` tuple per track.
 
 Column names are configuration (:class:`ColumnMap`), not hardcoded,
 because the upstream datasets do not share a schema. Track-id matching is
@@ -39,7 +39,6 @@ __all__ = [
     "JoinReport",
     "ReconstructionRecord",
     "TableParseError",
-    "TrackMeta",
     "join_records",
     "parse_genre_table",
     "parse_mood_csv",
@@ -75,13 +74,6 @@ class ColumnMap:
 
 MOOD_COLUMNS = ColumnMap(id_column="track_id", value_columns=("valence", "arousal"))
 META_COLUMNS = ColumnMap(id_column="track_id", value_columns=("artist", "title"))
-
-
-@dataclass(frozen=True)
-class TrackMeta:
-    track_id: str
-    artist: str
-    title: str
 
 
 @dataclass(frozen=True)
@@ -177,10 +169,10 @@ parse_mood_table = parse_mood_csv
 def parse_track_meta(
     stream: Iterable[str] | IO[str],
     columns: ColumnMap = META_COLUMNS,
-) -> dict[str, TrackMeta]:
-    """Parse per-track artist and title from a headered CSV table."""
+) -> dict[str, tuple[str, str]]:
+    """Parse each track's ``(artist, title)`` from a headered CSV table."""
     artist_col, title_col = columns.value_columns
-    metas: dict[str, TrackMeta] = {}
+    metas: dict[str, tuple[str, str]] = {}
     for line_no, track_id, row in _rows(stream, columns, metas):
         artist = (row[artist_col] or "").strip()
         title = (row[title_col] or "").strip()
@@ -188,7 +180,7 @@ def parse_track_meta(
             raise TableParseError(f"track {reprlib.repr(track_id)}: empty artist", line_no)
         if not title:
             raise TableParseError(f"track {reprlib.repr(track_id)}: empty title", line_no)
-        metas[track_id] = TrackMeta(track_id=track_id, artist=artist, title=title)
+        metas[track_id] = (artist, title)
     return metas
 
 
@@ -224,7 +216,7 @@ def join_records(
     tracks: Iterable[TrackBow],
     mood: dict[str, MoodPoint],
     genres: dict[str, tuple[str, ...]],
-    meta: dict[str, TrackMeta],
+    meta: dict[str, tuple[str, str]],
     mood_table: MoodTable,
 ) -> tuple[list[ReconstructionRecord], JoinReport]:
     """Inner-join all four sources into records, sorted by track id.
@@ -243,11 +235,12 @@ def join_records(
             continue
         point = mood[track_id]
         theta = mood_angle(point)
+        artist, title = meta[track_id]
         records.append(
             ReconstructionRecord(
                 track_id=track_id,
-                artist=meta[track_id].artist,
-                title=meta[track_id].title,
+                artist=artist,
+                title=title,
                 tags=genres[track_id],
                 mood=point,
                 theta=theta,

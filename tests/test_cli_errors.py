@@ -205,6 +205,9 @@ EXPLICIT = {
     "join-out-dir-missing": (
         lambda w: shutil.rmtree(w / "out"),
         "join", [], "out/records.jsonl", ".report.json: No such file or directory"),
+    "reconstruct-out-dir-missing": (
+        lambda w: shutil.rmtree(w / "out"),
+        "reconstruct", [], "out/corpus.jsonl", ": No such file or directory\n"),
     "mood-csv-field-too-long": (
         lambda w: replace_line(w / "mood.csv", 3, b"T," + b"1" * 131_073 + b",1\n"),
         "join", [], "mood.csv", ": line 3: field larger than field limit"),

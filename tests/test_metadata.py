@@ -126,9 +126,7 @@ def test_genre_comments_skipped():
 
 def test_meta_anchor_row():
     metas = _meta(META_HEADER + "TRSEKGD128F42B654D, Muse, Time Is Running Out\n")
-    meta = metas["TRSEKGD128F42B654D"]
-    assert meta.artist == "Muse"
-    assert meta.title == "Time Is Running Out"
+    assert metas["TRSEKGD128F42B654D"] == ("Muse", "Time Is Running Out")
 
 
 def test_meta_empty_title():
@@ -138,12 +136,12 @@ def test_meta_empty_title():
 
 def test_meta_quoted_delimiter():
     metas = _meta(META_HEADER + 'T1,"Crosby, Stills & Nash","Helplessly Hoping"\n')
-    assert metas["T1"].artist == "Crosby, Stills & Nash"
+    assert metas["T1"] == ("Crosby, Stills & Nash", "Helplessly Hoping")
 
 
 def test_meta_doubled_quote_escaping():
     metas = _meta(META_HEADER + 'T1,Prince,"The ""Hits"""\n')
-    assert metas["T1"].title == 'The "Hits"'
+    assert metas["T1"] == ("Prince", 'The "Hits"')
 
 
 # --- join -------------------------------------------------------------------
@@ -196,7 +194,7 @@ def test_join_record_fields_recomputable(tmp_path):
     labels = table.labels()
     sizes = [len(bow.tracks), len(mood), len(genres), len(meta)]
     assert len(records) <= min(sizes)
-    tracks = bow.by_track_id()
+    tracks = {track.track_id: track for track in bow.tracks}
     for record in records:
         assert record.theta == mood_angle(record.mood)
         assert 0.0 <= record.theta < 2 * math.pi

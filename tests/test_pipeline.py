@@ -8,6 +8,7 @@ import os
 import random
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,8 @@ from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import backend as be
 from lyrecon import cli, evaluation
+from lyrecon.analysis import segment
+from lyrecon.bow import load_bow
 from lyrecon.metadata import ReconstructionRecord
 from lyrecon.mood import MoodPoint, mood_angle
 from lyrecon.pipeline import (
@@ -671,6 +674,81 @@ def test_evaluate_counts_each_scored_doc_once_and_stems_each_token_type_once(
     assert len((out_dir / "fidelity.tsv").read_text().splitlines()) == 1 + 8
 
 
+def _write_corpus(path: Path, lyrics_by_id: dict[str, str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for track_id, lyrics in lyrics_by_id.items():
+            entry = CorpusEntry(track_id, "d" * 64, "m", "2024-01-01T00:00:00+00:00", lyrics)
+            fh.write(corpus_entry_line(entry) + "\n")
+
+
+def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
+    # evaluate holds the BoW flat; it must score each track exactly as the
+    # parsed TrackBow does. The vocabulary passes 65,535 words, so indices
+    # take 4 bytes, and fixture words sit on both sides of that line
+    filler = [f"zz{i}" for i in range(70_000)]
+    words = [*FIXTURE_WORDS[:60], *filler, *FIXTURE_WORDS[60:]]
+    rng = random.Random(16)
+    lines, lyrics = ["%" + ",".join(words)], {}
+    for i in range(40):
+        track_id = f"TRBIG{i:03d}"
+        indices = rng.sample(range(1, 61), 12) + rng.sample(range(70_061, len(words) + 1), 6)
+        indices += rng.sample(range(61, 70_061), 4)  # filler: never covered
+        counts = [rng.randint(1, 30) for _ in indices]
+        if i == 2:
+            counts[0] = 2**32 + 7  # past a 4-byte count
+        if i == 5:
+            counts[1] = 2**64
+        lines.append(f"{track_id},S{i}," + ",".join(f"{k}:{c}" for k, c in zip(indices, counts)))
+        if i % 4 == 3:
+            continue  # in the BoW only
+        doc = [words[k - 1] for k in indices[:-4] for _ in range(rng.randint(1, 5))]
+        if i == 1:
+            doc = [words[indices[0] - 1], "alone"]  # one word in common: no correlation
+        rng.shuffle(doc)
+        lyrics[track_id] = "\n".join(" ".join(doc[j:j + 6]) for j in range(0, len(doc), 6))
+    lyrics["TRNOTINBOW"] = "love night fire"
+    lyrics = dict(rng.sample(sorted(lyrics.items()), len(lyrics)))
+    bow, corpus = tmp_path / "bow.txt", tmp_path / "corpus.jsonl"
+    bow.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_corpus(corpus, lyrics)
+
+    code, out_dir = _evaluate(tmp_path, corpus, bow=bow)
+    assert code == 0
+
+    parsed = load_bow(bow.read_text(encoding="utf-8"))
+    tracks = {track.track_id: track for track in parsed.tracks}
+    stems, rows, coverages, correlations = {}, [], [], []
+    for track_id, text in lyrics.items():
+        if track_id not in tracks:
+            continue
+        doc_stems = evaluation.stem_counts(segment(text), stems)
+        coverage = evaluation.bow_coverage(doc_stems, tracks[track_id], parsed.vocab)
+        coverages.append(coverage)
+        try:
+            rho = evaluation.frequency_fidelity(doc_stems, tracks[track_id], parsed.vocab)
+            correlations.append(rho)
+            rho_text = f"{rho:.6f}"
+        except evaluation.InsufficientOverlap:
+            rho_text = "n/a"
+        rows.append(f"{track_id}\t{coverage:.6f}\t{rho_text}")
+    summary = {
+        "tracks_scored": len(coverages),
+        "mean_coverage": sum(coverages) / len(coverages),
+        "rank_correlation_scored": len(correlations),
+        "mean_rank_correlation": statistics.mean(correlations),
+    }
+    assert any(row.startswith("TRBIG001\t") and row.endswith("\tn/a") for row in rows)
+    assert len(rows) == len(lyrics) - 1
+    assert (out_dir / "fidelity.tsv").read_text(encoding="utf-8") == (
+        "track_id\tcoverage\trank_correlation\n" + "\n".join(rows) + "\n")
+    assert (out_dir / "fidelity_summary.json").read_text(encoding="utf-8") == (
+        json.dumps(summary, indent=2) + "\n")
+    with open(bow, encoding="utf-8") as fh:
+        table = cli.load_bow(fh)
+    assert table.indices.typecode == "I"
+    assert sorted(table.whole) == [2, 5]
+
+
 def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # token ids follow set order, which the hash seed changes; no output may
     records = _join(tmp_path, 30, seed=9)
@@ -894,6 +972,45 @@ def test_evaluate_memory_does_not_grow_when_lines_differ_but_share_ngrams(tmp_pa
     evaluate(2500)
     small = peak_bytes(800)
     assert peak_bytes(6400) <= 1.5 * small
+
+
+def test_evaluate_holds_the_bow_in_a_few_bytes_a_pair(tmp_path):
+    # 4,000 BoW tracks of 20 to 100 pairs, 20 of them in the corpus. As a
+    # dict per track the BoW cost about 75 B a pair here (an index above 256
+    # is an int object); held flat, 2 B an index and 4 B a count, plus about
+    # 125 B a track for its offset, id and slot: about 10 B a pair here
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    words = [*FIXTURE_WORDS, *(f"zz{i}" for i in range(5_000 - len(FIXTURE_WORDS)))]
+    rng = random.Random(40)
+    lines, pairs = ["%" + ",".join(words)], 0
+    for i in range(4_000):
+        indices = rng.sample(range(1, len(words) + 1), rng.randint(20, 100))
+        pairs += len(indices)
+        lines.append(f"TRMEM{i:05d},S,"
+                     + ",".join(f"{k}:{rng.randint(1, 300)}" for k in indices))
+    bow, corpus = tmp_path / "bow.txt", tmp_path / "corpus.jsonl"
+    bow.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_corpus(corpus, {f"TRMEM{i * 200:05d}": " ".join(rng.sample(FIXTURE_WORDS, 12))
+                           for i in range(20)})
+
+    def evaluate(*extra: str) -> None:
+        assert cli.main([
+            "evaluate", "--corpus", str(corpus), *extra,
+            "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
+            "-o", str(tmp_path / "eval"),
+        ]) == 0
+
+    def peak_bytes(*extra: str) -> int:
+        tracemalloc.start()
+        try:
+            evaluate(*extra)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    evaluate("--bow", str(bow))  # fills CPython's free lists untraced, as above
+    without = peak_bytes()
+    assert peak_bytes("--bow", str(bow)) - without <= 16 * pairs
 
 
 def test_report_command(tmp_path, capsys):
