@@ -240,7 +240,7 @@ def mock_generate(prompt: Prompt) -> str:
     """
     words = [w for w in prompt.field_values.vocabulary.split(", ") if w]
     if not words:
-        raise ValueError(f"track {prompt.track_id}: prompt has no vocabulary words")
+        raise LyreconError(f"track {prompt.track_id}: prompt has no vocabulary words")
     verse = _chunk(words, 4)
     refrain = _chunk(words[: min(8, len(words))], 4)
     return "\n".join(verse) + "\n\n" + "\n".join(refrain) + "\n"

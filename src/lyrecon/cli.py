@@ -17,10 +17,8 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-import statistics
 import sys
 import typing
-from array import array
 from pathlib import Path
 
 from lyrecon import backend as be
@@ -28,7 +26,7 @@ from lyrecon import evaluation as ev
 from lyrecon import metadata as md
 from lyrecon import mood as mood_mod
 from lyrecon.analysis import LyricDoc, load_lexicon, segment
-from lyrecon.bow import TrackBow, VocabTable, iter_bow
+from lyrecon.bow import iter_bow
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
     RunManifest,
@@ -255,86 +253,11 @@ def _read_stats_json(path: str) -> ev.CorpusStats:
     return ev.CorpusStats(**fields)
 
 
-class _FidelityTable:
-    """Coverage and rank correlation of each corpus track found in a BoW file,
-    scored as the corpus streams past.
-
-    The BoW is held flat rather than as a ``TrackBow`` per track: the word
-    indices and counts of every track, each track's pairs in file order,
-    sit in one index array (2 B a pair below 65,536 words, else 4 B) and
-    one count array (4 B a pair). Track ``slot`` owns positions
-    ``offsets[slot]`` to ``offsets[slot + 1]``, and ``slots`` maps a track
-    id to its slot. A track with a count of 2**32 or more, which the
-    format allows, keeps its counts dict in ``whole`` instead. ``score``
-    rebuilds a track's counts only when the corpus names it.
-    """
-
-    def __init__(self, vocab: VocabTable, tracks: typing.Iterable[TrackBow]) -> None:
-        self.vocab = vocab
-        self.indices = array("H" if len(vocab) < 1 << 16 else "I")
-        self.counts = array("I")
-        self.offsets = array("Q", [0])
-        self.slots: dict[str, int] = {}
-        self.whole: dict[int, dict[int, int]] = {}
-        for track in tracks:
-            slot = self.slots[track.track_id] = len(self.offsets) - 1
-            try:
-                self.counts.extend(track.counts.values())
-                self.indices.extend(track.counts)
-            except OverflowError:
-                del self.counts[self.offsets[slot]:]
-                self.whole[slot] = track.counts
-            self.offsets.append(len(self.counts))
-        self.stems: dict[str, str] = {}  # each token type is stemmed once per run
-        self.rows: list[str] = []
-        self.coverages: list[float] = []
-        self.correlations: list[float] = []
-
-    def score(self, track_id: str, doc: LyricDoc) -> None:
-        slot = self.slots.get(track_id)
-        if slot is None:
-            return
-        counts = self.whole.get(slot)
-        if counts is None:
-            start, end = self.offsets[slot], self.offsets[slot + 1]
-            counts = dict(zip(self.indices[start:end], self.counts[start:end]))
-        track = TrackBow(track_id, "", counts)  # no score reads the source id
-        doc_stems = ev.stem_counts(doc, self.stems)
-        coverage = ev.bow_coverage(doc_stems, track, self.vocab)
-        self.coverages.append(coverage)
-        try:
-            rho = ev.frequency_fidelity(doc_stems, track, self.vocab)
-            self.correlations.append(rho)
-            rho_text = f"{rho:.6f}"
-        except ev.InsufficientOverlap:
-            rho_text = "n/a"
-        self.rows.append(f"{track_id}\t{coverage:.6f}\t{rho_text}")
-
-    def outputs(self) -> tuple[dict[str, str], float]:
-        """fidelity.tsv and fidelity_summary.json, and the mean coverage."""
-        if not self.coverages:
-            raise LyreconError("no corpus track matches the BoW file")
-        mean_coverage = sum(self.coverages) / len(self.coverages)
-        summary = {
-            "tracks_scored": len(self.coverages),
-            "mean_coverage": mean_coverage,
-            "rank_correlation_scored": len(self.correlations),
-            "mean_rank_correlation": (
-                statistics.mean(self.correlations) if self.correlations else None
-            ),
-        }
-        return {
-            "fidelity.tsv": "track_id\tcoverage\trank_correlation\n"
-                            + "\n".join(self.rows) + "\n",
-            "fidelity_summary.json": json.dumps(summary, indent=2) + "\n",
-        }, mean_coverage
-
-
 # bench/layertrace.py wraps this name to time the bow.load layer
-def load_bow(source: typing.IO[str]) -> _FidelityTable:
+def load_bow(source: typing.IO[str]) -> ev.FidelityTable:
     """A BoW file parsed and validated once through ``iter_bow``, whole,
     into the flat table that evaluate scores from."""
-    return _FidelityTable(*iter_bow(source))
+    return ev.FidelityTable(*iter_bow(source))
 
 
 def _segmented(path: str, score=None) -> typing.Iterator[LyricDoc]:

@@ -14,23 +14,23 @@ token. Each partition is deduplicated on its own, so only one partition's
 pass 2**20 bigrams and four times the bigrams last kept, so memory follows
 the distinct n-grams however often lines that differ share them.
 
-Fidelity metrics tie generated text back to its BoW source: coverage is
-the fraction of a track's vocabulary whose words appear among the stemmed
-document tokens, and frequency fidelity is the Spearman rank correlation
-(average ranks for ties) between BoW counts and stemmed-token counts over
-the covered intersection. Both read a doc's stemmed-token counts from
-:func:`stem_counts`, so a doc scored for both is counted once, by the
-caller. Its optional ``stems`` dict memoises token -> stem; ``evaluate``
-passes one per run, so each distinct token type is stemmed once however
-many documents contain it.
+Fidelity metrics tie generated text back to a track's BoW ``{index:
+count}`` map: coverage is the fraction of its words found among the
+stemmed document tokens, and frequency fidelity is the Spearman rank
+correlation (average ranks for ties) between BoW and stemmed-token counts
+over the covered words, None where undefined. Both read a doc's counts
+from :func:`stem_counts`, whose optional ``stems`` dict memoises token ->
+stem. :class:`FidelityTable` scores a whole BoW file with them for
+``evaluate``, counting each doc once and each token type once a run.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from lyrecon.analysis import Lexicon, LyricDoc, stem
 from lyrecon.bow import TrackBow, VocabTable
@@ -39,7 +39,7 @@ from lyrecon.errors import LyreconError
 __all__ = [
     "ComparisonReport",
     "CorpusStats",
-    "InsufficientOverlap",
+    "FidelityTable",
     "LEFT_LABEL",
     "RIGHT_LABEL",
     "RowDelta",
@@ -53,10 +53,6 @@ __all__ = [
     "render_stats_text",
     "stem_counts",
 ]
-
-
-class InsufficientOverlap(LyreconError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -222,13 +218,14 @@ def stem_counts(doc: LyricDoc, stems: dict[str, str] | None = None) -> Counter[s
     return Counter(map(stems.__getitem__, tokens))
 
 
-def bow_coverage(doc_stems: Counter[str], track: TrackBow, vocab: VocabTable) -> float:
-    """Fraction of the track's vocabulary found among a doc's stems, as
-    counted by :func:`stem_counts`."""
+def bow_coverage(doc_stems: Counter[str], counts: Mapping[int, int],
+                 vocab: VocabTable) -> float:
+    """Fraction of a track's vocabulary, its ``{word index: count}`` map,
+    found among a doc's stems, as counted by :func:`stem_counts`."""
     # indexed directly: every index was range-checked when the BoW was parsed
     words = vocab.words
-    covered = sum(1 for index in track.counts if words[index - 1] in doc_stems)
-    return covered / len(track.counts)
+    covered = sum(1 for index in counts if words[index - 1] in doc_stems)
+    return covered / len(counts)
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -247,7 +244,7 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     n = len(rx)
@@ -257,30 +254,101 @@ def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     var_x = sum((a - mean_x) ** 2 for a in rx)
     var_y = sum((b - mean_y) ** 2 for b in ry)
     if var_x == 0.0 or var_y == 0.0:
-        raise InsufficientOverlap("rank correlation undefined: constant ranks")
+        return None
     return cov / (var_x * var_y) ** 0.5
 
 
-def frequency_fidelity(doc_stems: Counter[str], track: TrackBow, vocab: VocabTable) -> float:
+def frequency_fidelity(doc_stems: Counter[str], counts: Mapping[int, int],
+                       vocab: VocabTable) -> float | None:
     """Spearman correlation of BoW counts vs a doc's stem counts from
-    :func:`stem_counts`.
-
-    Computed over the vocabulary words that actually occur in the doc;
-    fewer than two such words leaves the correlation undefined.
-    """
+    :func:`stem_counts`, over the vocabulary words that occur in the doc;
+    None with fewer than two such words or constant ranks."""
     bow_counts: list[float] = []
     text_counts: list[float] = []
     words = vocab.words
-    for index, count in track.counts.items():
+    for index, count in counts.items():
         word = words[index - 1]
         if doc_stems[word] > 0:
             bow_counts.append(float(count))
             text_counts.append(float(doc_stems[word]))
     if len(bow_counts) < 2:
-        raise InsufficientOverlap(
-            f"only {len(bow_counts)} vocabulary word(s) appear in the doc"
-        )
+        return None
     return _spearman(bow_counts, text_counts)
+
+
+class FidelityTable:
+    """A BoW file held flat, and the coverage and rank correlation of each
+    corpus track it holds, scored as the corpus streams past.
+
+    Every track's pairs, in file order, sit in one index array (2 B a pair
+    below 65,536 words, else 4 B) and one count array (4 B); track ``slot``
+    owns ``offsets[slot]`` to ``offsets[slot + 1]``, and ``slots`` maps a
+    track id to its slot. A track with a count of 2**32 or more, which the
+    format allows, keeps its counts dict in ``whole``. ``score`` rebuilds
+    a track's counts map only when the corpus names it.
+    """
+
+    def __init__(self, vocab: VocabTable, tracks: Iterable[TrackBow]) -> None:
+        # imported here, as join and reconstruct score nothing; statistics
+        # before the tracks are read, so loading it does not add to the peak
+        from array import array
+        from statistics import mean
+        self._mean = mean
+        self.vocab = vocab
+        self.indices = array("H" if len(vocab) < 1 << 16 else "I")
+        self.counts = array("I")
+        self.offsets = array("Q", [0])
+        self.slots: dict[str, int] = {}
+        self.whole: dict[int, dict[int, int]] = {}
+        for track in tracks:
+            slot = self.slots[track.track_id] = len(self.offsets) - 1
+            try:
+                self.counts.extend(track.counts.values())
+                self.indices.extend(track.counts)
+            except OverflowError:
+                del self.counts[self.offsets[slot]:]
+                self.whole[slot] = track.counts
+            self.offsets.append(len(self.counts))
+        self.stems: dict[str, str] = {}  # each token type is stemmed once per run
+        self.rows: list[str] = []
+        self.coverages: list[float] = []
+        self.correlations: list[float] = []
+
+    def score(self, track_id: str, doc: LyricDoc) -> None:
+        slot = self.slots.get(track_id)
+        if slot is None:
+            return
+        counts = self.whole.get(slot)
+        if counts is None:
+            start, end = self.offsets[slot], self.offsets[slot + 1]
+            counts = dict(zip(self.indices[start:end], self.counts[start:end]))
+        doc_stems = stem_counts(doc, self.stems)
+        coverage = bow_coverage(doc_stems, counts, self.vocab)
+        self.coverages.append(coverage)
+        rho = frequency_fidelity(doc_stems, counts, self.vocab)
+        if rho is not None:
+            self.correlations.append(rho)
+        rho_text = "n/a" if rho is None else f"{rho:.6f}"
+        self.rows.append(f"{track_id}\t{coverage:.6f}\t{rho_text}")
+
+    def outputs(self) -> tuple[dict[str, str], float]:
+        """fidelity.tsv and fidelity_summary.json, and the mean coverage."""
+        if not self.coverages:
+            raise LyreconError("no corpus track matches the BoW file")
+        mean_coverage = sum(self.coverages) / len(self.coverages)
+        summary = {
+            "tracks_scored": len(self.coverages),
+            "mean_coverage": mean_coverage,
+            "rank_correlation_scored": len(self.correlations),
+            "mean_rank_correlation": (
+                self._mean(self.correlations) if self.correlations else None
+            ),
+        }
+        return {
+            "fidelity.tsv": "track_id\tcoverage\trank_correlation\n"
+                            + "\n".join(self.rows) + "\n",
+            "fidelity_summary.json": json.dumps(summary, indent=2) + "\n",
+        }, mean_coverage
 
 
 @dataclass(frozen=True)

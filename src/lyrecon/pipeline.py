@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import reprlib
 import sys
 from dataclasses import dataclass, field
@@ -129,6 +130,8 @@ def record_to_dict(record: ReconstructionRecord) -> dict:
 _RECORD_TYPES = {"track_id": str, "artist": str, "title": str, "tags": list,
                  "valence": float, "arousal": float, "theta": float,
                  "mood_label": str, "vocabulary": list}
+# what a BoW vocabulary word may not hold; a prompt's ", "-joined list relies on it
+_NOT_A_WORD = re.compile(r"[\s,:]")
 
 
 def _interned(key: str, values: list) -> tuple[str, ...]:
@@ -164,6 +167,11 @@ def _record_from_dict(data: object, line_no: int) -> ReconstructionRecord:
             "words, none of them empty",
             line_no,
         )
+    # one search in C over the joined words, not a Python loop over them
+    if _NOT_A_WORD.search("".join(record.vocabulary)):
+        word = next(w for w in record.vocabulary if _NOT_A_WORD.search(w))
+        raise RecordsFormatError(f"track {reprlib.repr(record.track_id)}: vocabulary word "
+                                 f"{reprlib.repr(word)} has whitespace, ',' or ':'", line_no)
     try:
         theta_matches = math.isclose(record.theta, mood_angle(record.mood), abs_tol=1e-9)
     except LyreconError as exc:  # the (0, 0) point has no angle

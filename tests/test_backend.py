@@ -101,7 +101,16 @@ def test_mock_coverage_is_total():
     doc = segment(mock_generate(prompt))
     track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
     vocab = VocabTable(words=("night", "fire", "stone"))
-    assert bow_coverage(stem_counts(doc), track, vocab) == 1.0
+    assert bow_coverage(stem_counts(doc), track.counts, vocab) == 1.0
+
+
+def test_mock_prompt_without_words_fails_only_its_item(tmp_path):
+    # ", " renders as no vocabulary word at all
+    prompts = [_prompt(track_id="T0"), _prompt(track_id="T1", vocabulary=", "),
+               _prompt(track_id="T2")]
+    items = _run(prompts, BackendConfig(kind="mock"), LyricsCache(tmp_path / "c"))
+    assert [item.result is not None for item in items] == [True, False, True]
+    assert items[1].error == "LyreconError: track T1: prompt has no vocabulary words"
 
 
 def test_generate_mock_uses_cache(tmp_path):

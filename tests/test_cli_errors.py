@@ -235,6 +235,11 @@ EXPLICIT = {
         "reconstruct", [], "records.jsonl",
         ": line 2: track 'TRFIX00001X128F': needs genre tags and vocabulary words, "
         "none of them empty\n"),
+    "records-vocabulary-word-has-comma": (
+        _edit_line("records.jsonl", 2, lambda d: {**d, "vocabulary": [", "]}),
+        "reconstruct", [], "records.jsonl",
+        ": line 2: track 'TRFIX00001X128F': vocabulary word ', ' has whitespace, "
+        "',' or ':'\n"),
     "records-tag-empty": (
         _edit_line("records.jsonl", 3, lambda d: {**d, "tags": [*d["tags"], ""]}),
         "reconstruct", [], "records.jsonl",

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from fixtures import ABSTRACT_WORDS, CONCRETE_WORDS
 from lyrecon import evaluation, porter
 from lyrecon.analysis import Lexicon, segment
-from lyrecon.bow import TrackBow, VocabTable
+from lyrecon.bow import VocabTable
 from lyrecon.errors import LyreconError
 from lyrecon.evaluation import (
-    InsufficientOverlap,
     bow_coverage,
     compare,
     corpus_stats,
@@ -230,57 +229,55 @@ def _stems(text):
 
 
 def test_coverage_full_and_empty():
-    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
-    assert bow_coverage(_stems("night fire\nnight"), track, VOCAB) == 1.0
-    assert bow_coverage(_stems("nothing shared here"), track, VOCAB) == 0.0
+    counts = {1: 3, 2: 1}
+    assert bow_coverage(_stems("night fire\nnight"), counts, VOCAB) == 1.0
+    assert bow_coverage(_stems("nothing shared here"), counts, VOCAB) == 0.0
 
 
 def test_coverage_through_stemming():
     vocab = VocabTable(words=("run",))
-    track = TrackBow(track_id="T", source_id="", counts={1: 2})
-    assert bow_coverage(_stems("running wild tonight"), track, vocab) == 1.0
+    counts = {1: 2}
+    assert bow_coverage(_stems("running wild tonight"), counts, vocab) == 1.0
 
 
 def test_coverage_monotone_under_append():
-    track = TrackBow(track_id="T", source_id="", counts={1: 1, 2: 1, 3: 1})
+    counts = {1: 1, 2: 1, 3: 1}
     base = "night night"
     additions = ["", "\nfire", "\nfire stone", "\nunrelated words"]
-    doc_base = bow_coverage(_stems(base), track, VOCAB)
+    doc_base = bow_coverage(_stems(base), counts, VOCAB)
     for extra in additions:
-        assert bow_coverage(_stems(base + extra), track, VOCAB) >= doc_base
+        assert bow_coverage(_stems(base + extra), counts, VOCAB) >= doc_base
 
 
 def test_fidelity_exact_reproduction():
-    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
-    assert frequency_fidelity(_stems("night night\nnight fire"), track, VOCAB) == 1.0
+    counts = {1: 3, 2: 1}
+    assert frequency_fidelity(_stems("night night\nnight fire"), counts, VOCAB) == 1.0
 
 
 def test_fidelity_reversed_order():
-    track = TrackBow(track_id="T", source_id="", counts={1: 5, 2: 1})
-    assert frequency_fidelity(_stems("fire fire fire\nnight"), track, VOCAB) == -1.0
+    counts = {1: 5, 2: 1}
+    assert frequency_fidelity(_stems("fire fire fire\nnight"), counts, VOCAB) == -1.0
 
 
 def test_fidelity_hand_computed_tie_case():
     # BoW counts 10,5,5,1 vs doc counts 4,3,2,1; x-ranks (4, 2.5, 2.5, 1),
     # y-ranks (4, 3, 2, 1): rho = 4.5 / sqrt(4.5 * 5.0) = 3 / sqrt(10)
-    track = TrackBow(track_id="T", source_id="", counts={1: 10, 2: 5, 3: 5, 4: 1})
+    counts = {1: 10, 2: 5, 3: 5, 4: 1}
     doc_stems = _stems(
         "night night night night\nfire fire fire\nstone stone\nglass"
     )
-    rho = frequency_fidelity(doc_stems, track, VOCAB)
+    rho = frequency_fidelity(doc_stems, counts, VOCAB)
     assert rho == pytest.approx(0.9486832980505138, abs=1e-12)
 
 
 def test_fidelity_needs_two_overlapping_words():
-    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 1})
-    with pytest.raises(InsufficientOverlap):
-        frequency_fidelity(_stems("night alone words"), track, VOCAB)
+    counts = {1: 3, 2: 1}
+    assert frequency_fidelity(_stems("night alone words"), counts, VOCAB) is None
 
 
 def test_fidelity_constant_ranks_undefined():
-    track = TrackBow(track_id="T", source_id="", counts={1: 2, 2: 2})
-    with pytest.raises(InsufficientOverlap):
-        frequency_fidelity(_stems("night fire"), track, VOCAB)
+    counts = {1: 2, 2: 2}
+    assert frequency_fidelity(_stems("night fire"), counts, VOCAB) is None
 
 
 def test_each_token_type_is_stemmed_once(monkeypatch):
@@ -309,12 +306,12 @@ def test_coverage_and_fidelity_of_a_doc_share_one_stem_count(monkeypatch):
     monkeypatch.setattr(evaluation, "stem", counting_stem)
     docs = [segment("night night fire\nnight stone"),
             segment("fire fire night\n\nglass night stone")]
-    track = TrackBow(track_id="T", source_id="", counts={1: 3, 2: 2, 3: 1})
+    counts = {1: 3, 2: 2, 3: 1}
     for doc in docs:
         # no memo: a count stems each of the doc's token types once
         doc_stems = stem_counts(doc)
-        bow_coverage(doc_stems, track, VOCAB)
-        frequency_fidelity(doc_stems, track, VOCAB)
+        bow_coverage(doc_stems, counts, VOCAB)
+        frequency_fidelity(doc_stems, counts, VOCAB)
     assert calls == Counter({"night": 2, "fire": 2, "stone": 2, "glass": 1})
 
 
@@ -326,12 +323,12 @@ def test_memoised_stems_match_porter_on_rule_words():
         {"run": 3, "caress": 2, "happi": 1, "relat": 4})
     vocab = VocabTable(words=("run", "caress", "happi", "relat"))
     # BoW ranks (4, 3, 1, 2) against text ranks (3, 2, 1, 4): rho = 1 - 6*6/60
-    track = TrackBow(track_id="T", source_id="", counts={1: 4, 2: 3, 3: 1, 4: 2})
+    counts = {1: 4, 2: 3, 3: 1, 4: 2}
     stems: dict[str, str] = {}
     for _ in range(2):  # the second pass reads every stem from the memo
         doc_stems = stem_counts(doc, stems)
-        assert bow_coverage(doc_stems, track, vocab) == 1.0
-        assert frequency_fidelity(doc_stems, track, vocab) == pytest.approx(0.4, abs=1e-12)
+        assert bow_coverage(doc_stems, counts, vocab) == 1.0
+        assert frequency_fidelity(doc_stems, counts, vocab) == pytest.approx(0.4, abs=1e-12)
     assert stems == {t: porter.stem(t) for t in tokens}
 
 

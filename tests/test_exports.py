@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,6 @@ ERROR_TYPES = {
     "lyrecon.backend.BackendUnavailable",
     "lyrecon.backend.AuthMissing",
     "lyrecon.backend.EmptyCompletion",
-    "lyrecon.evaluation.InsufficientOverlap",
 }
 
 
@@ -59,3 +61,15 @@ def test_the_error_types_are_the_listed_ones():
         found.add(f"{cls.__module__}.{cls.__qualname__}")
         todo.extend(cls.__subclasses__())
     assert found == ERROR_TYPES
+
+
+def test_the_cli_loads_neither_statistics_nor_array():
+    # join and reconstruct score nothing; evaluate imports both when it
+    # builds its fidelity table
+    code = ("import sys, lyrecon.cli; "
+            "print(sorted({'statistics', 'array'} & set(sys.modules)))")
+    src = Path(lyrecon.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout == "[]\n"

@@ -683,8 +683,8 @@ def _write_corpus(path: Path, lyrics_by_id: dict[str, str]) -> None:
 
 def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
     # evaluate holds the BoW flat; it must score each track exactly as the
-    # parsed TrackBow does. The vocabulary passes 65,535 words, so indices
-    # take 4 bytes, and fixture words sit on both sides of that line
+    # parsed TrackBow's counts do. The vocabulary passes 65,535 words, so
+    # indices take 4 bytes, and fixture words sit on both sides of that line
     filler = [f"zz{i}" for i in range(70_000)]
     words = [*FIXTURE_WORDS[:60], *filler, *FIXTURE_WORDS[60:]]
     rng = random.Random(16)
@@ -698,6 +698,8 @@ def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
             counts[0] = 2**32 + 7  # past a 4-byte count
         if i == 5:
             counts[1] = 2**64
+        if i == 6:
+            counts = [9] * len(counts)  # equal BoW counts: constant ranks
         lines.append(f"{track_id},S{i}," + ",".join(f"{k}:{c}" for k, c in zip(indices, counts)))
         if i % 4 == 3:
             continue  # in the BoW only
@@ -722,14 +724,15 @@ def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
         if track_id not in tracks:
             continue
         doc_stems = evaluation.stem_counts(segment(text), stems)
-        coverage = evaluation.bow_coverage(doc_stems, tracks[track_id], parsed.vocab)
+        counts = tracks[track_id].counts
+        coverage = evaluation.bow_coverage(doc_stems, counts, parsed.vocab)
         coverages.append(coverage)
-        try:
-            rho = evaluation.frequency_fidelity(doc_stems, tracks[track_id], parsed.vocab)
+        rho = evaluation.frequency_fidelity(doc_stems, counts, parsed.vocab)
+        if rho is None:
+            rho_text = "n/a"
+        else:
             correlations.append(rho)
             rho_text = f"{rho:.6f}"
-        except evaluation.InsufficientOverlap:
-            rho_text = "n/a"
         rows.append(f"{track_id}\t{coverage:.6f}\t{rho_text}")
     summary = {
         "tracks_scored": len(coverages),
@@ -737,7 +740,8 @@ def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
         "rank_correlation_scored": len(correlations),
         "mean_rank_correlation": statistics.mean(correlations),
     }
-    assert any(row.startswith("TRBIG001\t") and row.endswith("\tn/a") for row in rows)
+    for track_id in ("TRBIG001", "TRBIG006"):  # one shared word; constant ranks
+        assert any(row.startswith(f"{track_id}\t") and row.endswith("\tn/a") for row in rows)
     assert len(rows) == len(lyrics) - 1
     assert (out_dir / "fidelity.tsv").read_text(encoding="utf-8") == (
         "track_id\tcoverage\trank_correlation\n" + "\n".join(rows) + "\n")
