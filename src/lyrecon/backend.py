@@ -40,7 +40,7 @@ from urllib.parse import urlsplit
 
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (CorpusEntry, CorpusFormatError, corpus_entry_line,
-                              json_fields, parse_entry)
+                              decode_json, json_fields, parse_entry)
 from lyrecon.prompt import Prompt
 
 __all__ = [
@@ -74,8 +74,10 @@ _WINDOW_PER_WORKER = 64
 # model used when the config names none, per backend kind
 DEFAULT_MODELS = {"mock": "mock-lyricist", "live": "gpt-4o"}
 
-# key order of a cache file
-_CACHE_KEYS = ("track_id", "prompt_digest", "lyrics", "model", "created_at")
+# the longest timeout or backoff delay a config may set, about 146 years on
+# Linux: a socket takes up to TIMEOUT_MAX, but time.sleep fails (EINVAL) once
+# the monotonic clock plus the delay passes it, so half is left for the clock
+_LONGEST_WAIT = threading.TIMEOUT_MAX / 2
 
 
 class BackendUnavailable(LyreconError):
@@ -123,14 +125,20 @@ class BackendConfig:
         # each comparison is false for NaN
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 < self.timeout <= _LONGEST_WAIT:
+            raise ValueError(
+                f"timeout must be > 0 and <= {_LONGEST_WAIT:.0f}, got {self.timeout}")
         if not 0 <= self.backoff_base < math.inf:
             raise ValueError(f"backoff_base must be finite and >= 0, got {self.backoff_base}")
         if self.max_output_tokens < 1:
             raise ValueError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if (self.max_attempts > 1
+                and _backoff_delay(self.backoff_base, self.max_attempts) > _LONGEST_WAIT):
+            raise ValueError(
+                f"backoff_base {self.backoff_base} makes the wait before attempt "
+                f"{self.max_attempts} longer than {_LONGEST_WAIT:.0f} s")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
 
@@ -147,6 +155,15 @@ class BackendConfig:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _backoff_delay(base: float, attempt: int) -> float:
+    """Seconds to wait before ``attempt``, the second or a later one:
+    ``base * 2**(attempt-2)``, or infinity where no float holds it."""
+    try:
+        return math.ldexp(base, attempt - 2)
+    except OverflowError:
+        return math.inf
 
 
 def cache_key(
@@ -171,13 +188,15 @@ def cache_key(
 
 
 class LyricsCache:
-    """One JSON file per digest under ``<root>/<digest[:2]>/<digest>``.
+    """One file per digest under ``<root>/<digest[:2]>/<digest>``, holding
+    the entry as its corpus line without the newline.
 
     A write goes to a temp file that is then renamed over the entry, so a
     reader sees either no entry or a whole one, and concurrent writers of
     one digest leave one whole entry. An entry that does not parse, or that
-    is filed under another digest, is deleted on read and reported as a
-    miss, so the next write replaces it.
+    is filed under another digest, is a miss and is left as it is: the
+    fresh result's write replaces it. Key order is not read, so an entry
+    in any key order hits.
     """
 
     def __init__(self, root: Path | str):
@@ -190,17 +209,9 @@ class LyricsCache:
         try:
             with open(path, "rb") as fh:
                 entry = parse_entry(fh.read())
-            if entry.prompt_digest == digest:
-                return entry
-        except FileNotFoundError:
+        except (FileNotFoundError, CorpusFormatError):
             return None
-        except CorpusFormatError:
-            pass
-        try:
-            os.unlink(path)  # unreadable or misfiled: a miss
-        except FileNotFoundError:
-            pass
-        return None
+        return entry if entry.prompt_digest == digest else None
 
     def put(self, result: CorpusEntry) -> None:
         digest = result.prompt_digest
@@ -208,7 +219,7 @@ class LyricsCache:
         path = f"{shard}{os.sep}{digest}"
         # one temp name per writer: the batch's threads share the pid
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        data = corpus_entry_line(result, _CACHE_KEYS).encode("utf-8")
+        data = corpus_entry_line(result).encode("utf-8")
         if shard not in self._shards:
             os.makedirs(shard, exist_ok=True)
             self._shards.add(shard)
@@ -300,9 +311,9 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
 
     Retryable: HTTP 429 and 5xx, and any ``OSError`` or
     ``http.client.HTTPException`` (timeouts, refused or dropped connections,
-    broken response bodies). Backoff is ``backoff_base * 2**(attempt-1)``
-    seconds, so delays never shrink. Any other status, a redirect included,
-    is refused at once.
+    broken response bodies). Retry ``n`` waits ``backoff_base * 2**(n-1)``
+    seconds (:func:`_backoff_delay`), so delays never shrink. Any other
+    status, a redirect included, is refused at once.
     """
     from http.client import HTTPException
     from urllib.error import HTTPError
@@ -326,7 +337,7 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
     last_error = "no attempt made"
     for attempt in range(1, config.max_attempts + 1):
         if attempt > 1:
-            time.sleep(config.backoff_base * 2 ** (attempt - 2))
+            time.sleep(_backoff_delay(config.backoff_base, attempt))
         request = Request(config.endpoint, data, headers, method="POST")
         try:
             with opener.open(request, timeout=config.timeout) as response:
@@ -339,7 +350,7 @@ def _http_complete(prompt_text: str, config: BackendConfig, api_key: str) -> str
             continue
         if status == 200:
             try:
-                message = json.loads(payload)["choices"][0]["message"]
+                message = decode_json(payload)["choices"][0]["message"]
                 return json_fields(message, {"content": str})["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendUnavailable(

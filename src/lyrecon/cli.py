@@ -31,6 +31,7 @@ from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (
     RunManifest,
     corpus_entry_line,
+    decode_json,
     file_digest,
     iter_corpus,
     json_fields,
@@ -133,7 +134,7 @@ def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, d
     settings: dict = {}
     if args.config:
         with _reading(args.config):
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            data = decode_json(Path(args.config).read_text(encoding="utf-8"))
             settings = json_fields(data, _CONFIG_TYPES, required=False)
             unknown = [key for key in data if key not in settings]
             if unknown:
@@ -245,7 +246,7 @@ def _stats_json(stats: ev.CorpusStats) -> str:
 
 def _read_stats_json(path: str) -> ev.CorpusStats:
     with _reading(path):
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = decode_json(Path(path).read_text(encoding="utf-8"))
         try:
             fields = json_fields(data, typing.get_type_hints(ev.CorpusStats))
         except ValueError as exc:

@@ -19,7 +19,8 @@ implies the output exists; the reverse gap (line written, process killed
 before the manifest append) is healed on resume by adopting any track
 already present in the output file.
 
-Every JSON input is read through :func:`json_fields`, which never coerces:
+Every JSON input is decoded by :func:`decode_json`, which raises only
+``ValueError``, and read through :func:`json_fields`, which never coerces:
 a field of another JSON type, or a ``NaN``, makes a bad line.
 """
 
@@ -47,6 +48,7 @@ __all__ = [
     "RecordsFormatError",
     "RunManifest",
     "corpus_entry_line",
+    "decode_json",
     "file_digest",
     "iter_corpus",
     "json_fields",
@@ -79,6 +81,15 @@ def file_digest(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def decode_json(text: str | bytes) -> object:
+    """The value a JSON document holds. Raises ValueError for any text that
+    does not decode, one nested too deep for the decoder included."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deep to decode") from None
+
+
 # the JSON types a field of each type may hold: a bool is never a number, and an int
 # for a float field becomes one, so a config's "temperature": 1 hashes like 1.0
 _JSON_TYPES = {str: (str,), int: (int,), float: (float, int), list: (list,)}
@@ -101,12 +112,12 @@ def json_fields(data: object, types: Mapping[str, type], required: bool = True) 
         if type(value) not in _JSON_TYPES[ftype]:
             raise ValueError(
                 f"{key}: expected {ftype.__name__}, got {reprlib.repr(value)}")
-        if ftype is float:
+        if ftype is int or ftype is float:
             # false for NaN, the infinities, and an int too large for a float
             if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(
                     f"{key}: expected a finite number, got {reprlib.repr(value)}")
-            value = float(value)
+            value = ftype(value)
         fields[key] = value
     return fields
 
@@ -200,7 +211,7 @@ def read_records(path: Path | str) -> list[ReconstructionRecord]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = decode_json(line)
             except ValueError as exc:
                 raise RecordsFormatError(f"not valid JSON: {exc}", line_no) from exc
             record = _record_from_dict(data, line_no)
@@ -235,15 +246,16 @@ _CORPUS_KEYS = ("track_id", "prompt_digest", "model", "created_at", "lyrics")
 _CORPUS_TYPES = dict.fromkeys(_CORPUS_KEYS, str)
 
 
-def corpus_entry_line(entry: CorpusEntry, keys: Sequence[str] = _CORPUS_KEYS) -> str:
-    """The entry as one JSON line holding ``keys`` in that order."""
-    return json.dumps({key: getattr(entry, key) for key in keys}, ensure_ascii=False)
+def corpus_entry_line(entry: CorpusEntry) -> str:
+    """The entry as one JSON line, without its newline: a corpus line, and
+    the whole of a cache file."""
+    return json.dumps({key: getattr(entry, key) for key in _CORPUS_KEYS}, ensure_ascii=False)
 
 
 def parse_entry(text: str | bytes, line_no: int | None = None) -> CorpusEntry:
     """Parse one JSON-encoded entry, whatever its key order."""
     try:
-        data = json.loads(text)
+        data = decode_json(text)
     except ValueError as exc:
         raise CorpusFormatError(f"not valid JSON: {exc}", line_no) from exc
     try:
@@ -330,14 +342,14 @@ def rewrite_corpus_in_order(path: Path, order: Sequence[str]) -> None:
 class RunManifest:
     """Append-only run log. One instance per reconstruct invocation.
 
-    The in-memory view (``status``) is the replay of the log; ``done`` and
-    ``failed`` append a line, flush it, and update the view.
+    ``status`` (track id -> ``"done"`` or ``"failed"``) and ``reasons``
+    (track id -> why it last failed) are the log as :meth:`load` replayed
+    it, and empty for a new one. ``done`` and ``failed`` only append a line
+    and flush it; they leave both maps as they are.
     """
 
-    def __init__(self, path: Path, config_digest: str, records_digest: str):
+    def __init__(self, path: Path):
         self.path = path
-        self.config_digest = config_digest
-        self.records_digest = records_digest
         self.status: dict[str, str] = {}
         self.reasons: dict[str, str] = {}
         self._fh: IO[str] | None = None
@@ -345,7 +357,7 @@ class RunManifest:
     @classmethod
     def create(cls, path: Path, config_digest: str, records_digest: str,
                total: int) -> "RunManifest":
-        manifest = cls(path, config_digest, records_digest)
+        manifest = cls(path)
         header = {
             "kind": "run",
             "config_digest": config_digest,
@@ -370,8 +382,8 @@ class RunManifest:
         if not lines:
             raise ManifestMismatch("empty manifest")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+            header = decode_json(lines[0])
+        except ValueError as exc:
             raise ManifestMismatch(f"unreadable header: {exc}") from exc
         if not isinstance(header, dict) or header.get("kind") != "run":
             raise ManifestMismatch("first line is not a run header")
@@ -388,11 +400,11 @@ class RunManifest:
                 fh.write(b"\n")
         elif whole < len(content):
             os.truncate(path, whole)
-        manifest = cls(path, config_digest, records_digest)
+        manifest = cls(path)
         for raw in lines[1:]:
             # a blank line or an event of the wrong shape is skipped
             try:
-                data = json.loads(raw)
+                data = decode_json(raw)
                 event = json_fields(data, {"kind": str, "track_id": str, "status": str})
             except ValueError:
                 continue
@@ -422,12 +434,8 @@ class RunManifest:
 
     def done(self, track_id: str) -> None:
         self._append({"kind": "status", "track_id": track_id, "status": "done"})
-        self.status[track_id] = "done"
-        self.reasons.pop(track_id, None)
 
     def failed(self, track_id: str, reason: str) -> None:
         self._append(
             {"kind": "status", "track_id": track_id, "status": "failed", "reason": reason}
         )
-        self.status[track_id] = "failed"
-        self.reasons[track_id] = reason

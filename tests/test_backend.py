@@ -29,7 +29,7 @@ from lyrecon.backend import (
 )
 from lyrecon.bow import TrackBow, VocabTable
 from lyrecon.evaluation import bow_coverage, stem_counts
-from lyrecon.pipeline import CorpusEntry
+from lyrecon.pipeline import CorpusEntry, corpus_entry_line
 from lyrecon.prompt import Prompt, PromptFields
 
 
@@ -132,8 +132,21 @@ def test_cache_layout_on_disk(tmp_path):
     result = generate(_prompt(), BackendConfig(kind="mock"), cache)
     digest = result.prompt_digest
     stored = tmp_path / "cache" / digest[:2] / digest
-    assert stored.is_file()
-    assert json.loads(stored.read_text())["lyrics"] == result.lyrics
+    assert stored.read_text(encoding="utf-8") == corpus_entry_line(result)
+
+
+def test_cache_entry_in_an_older_key_order_hits(tmp_path):
+    cache = LyricsCache(tmp_path / "cache")
+    config = BackendConfig(kind="mock")
+    first = generate(_prompt(), config, cache)
+    stored = tmp_path / "cache" / first.prompt_digest[:2] / first.prompt_digest
+    data = json.loads(stored.read_text(encoding="utf-8"))
+    keys = ("track_id", "prompt_digest", "lyrics", "model", "created_at")
+    stored.write_text(json.dumps({key: data[key] for key in keys}, ensure_ascii=False),
+                      encoding="utf-8")
+    again = generate(_prompt(), config, cache)
+    assert again.cached is True
+    assert again == first
 
 
 def test_cache_hit_rebinds_track_id(tmp_path):
@@ -162,11 +175,28 @@ def test_cache_hit_rebinds_track_id(tmp_path):
         dict(timeout=float("nan")),
         dict(backoff_base=-1),
         dict(backoff_base=float("nan")),
+        # a wait longer than the OS can time: OverflowError mid-batch, from
+        # the socket, the sleep or the backoff product
+        dict(timeout=1e300),
+        dict(backoff_base=1e300),
+        dict(max_attempts=1100),
+        dict(timeout=backend_module._LONGEST_WAIT * 1.01),
+        dict(backoff_base=backend_module._LONGEST_WAIT / 2, max_attempts=4),
     ],
 )
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         BackendConfig(**kwargs)
+
+
+@pytest.mark.parametrize("base, attempts", [(0.0, 10_000), (0.5, 2),
+                                            (backend_module._LONGEST_WAIT / 4, 4)])
+def test_every_backoff_of_an_accepted_config_is_within_the_bound(base, attempts):
+    config = BackendConfig(backoff_base=base, max_attempts=attempts)
+    delays = [backend_module._backoff_delay(config.backoff_base, attempt)
+              for attempt in range(2, attempts + 1)]
+    assert all(0 <= delay <= backend_module._LONGEST_WAIT for delay in delays)
+    assert delays == sorted(delays)
 
 
 # --- live backend -----------------------------------------------------------
@@ -356,7 +386,6 @@ def test_unreadable_cache_entry_is_a_miss_and_replaced(tmp_path, damage):
     original = stored.read_bytes()
     stored.write_text(damage(json.loads(original)))
     assert cache.get(first.prompt_digest) is None
-    assert not stored.exists()
     stored.write_text(damage(json.loads(original)))
     again = generate(_prompt(), config, cache)
     assert again.cached is False

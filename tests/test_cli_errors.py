@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import make_bow_text, replace_line, write_aligned_fixtures, write_lexicons
 from lyrecon import cli
 
@@ -185,9 +186,12 @@ def _edit_line(name: str, line_no: int, edit):
     return damage
 
 
-def _stats_field_of_wrong_type(work: Path) -> None:
-    data = json.loads((work / "left.json").read_text(encoding="utf-8"))
-    (work / "left.json").write_text(json.dumps({**data, "unique_bigrams": "x"}))
+def _with_fields(name: str, **fields):
+    """A damage that sets ``fields`` in the JSON object file ``name``."""
+    def damage(work: Path) -> None:
+        data = json.loads((work / name).read_text(encoding="utf-8"))
+        (work / name).write_text(json.dumps({**data, **fields}))
+    return damage
 
 
 # id -> (damage to the copied run, command, extra flags, the file blamed and
@@ -265,8 +269,14 @@ EXPLICIT = {
         lambda w: replace_line(w / "left.json", 3, b"caf\xe9\n"),
         "report", [], "left.json", ": line 3: not UTF-8"),
     "stats-field-of-wrong-type": (
-        _stats_field_of_wrong_type,
+        _with_fields("left.json", unique_bigrams="x"),
         "report", [], "left.json", ": stats fields missing or not finite"),
+    "stats-count-too-large-for-a-float": (
+        _with_fields("left.json", unique_unigrams=10 ** 400),
+        "report", [], "left.json", ": stats fields missing or not finite"),
+    "config-integer-too-large-for-a-float": (
+        _with_fields("config.json", max_output_tokens=10 ** 400),
+        "reconstruct", [], "config.json", ": max_output_tokens: expected a finite number"),
     "report-out-dir-is-a-file": (
         lambda w: (w / "out" / "report").write_text("keep\n"),
         "report", [], "out/report", ": File exists"),
@@ -281,6 +291,118 @@ def test_known_bad_input_exits_2_naming_its_file(pristine, tmp_path, capsys, cas
     argv = _argv(command, tmp_path) + [
         str(tmp_path / arg) if i % 2 else arg for i, arg in enumerate(extra)]
     assert _check(argv, f"{tmp_path / blamed}{then}", capsys) == 2
+
+
+@pytest.mark.parametrize("flags", [["--timeout", "1e300"], ["--backoff-base", "1e300"],
+                                   ["--max-attempts", "1100"]],
+                         ids=["timeout", "backoff-base", "max-attempts"])
+def test_a_wait_too_long_for_the_os_is_a_bad_configuration(pristine, tmp_path, capsys,
+                                                           monkeypatch, flags):
+    # checked before any thread starts or any request is sent
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setenv("LYRECON_API_KEY", "test-key")
+    argv = _argv("reconstruct", tmp_path) + [
+        "--backend", "live", "--endpoint", refused_endpoint(), "--max-in-flight", "1", *flags]
+    assert _check(argv, "bad configuration: ", capsys) == 2
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+DEEP = b"[" * 100_000  # past the recursion limit of Python's JSON decoder
+
+
+def _deep_line(name: str, line_no: int):
+    return lambda work, endpoint: replace_line(work / name, line_no, DEEP + b"\n")
+
+
+def _deep_file(name: str):
+    return lambda work, endpoint: (work / name).write_bytes(DEEP)
+
+
+def _first_cache_file(work: Path) -> Path:
+    return min(path for path in (work / "corpus.jsonl.cache").rglob("*") if path.is_file())
+
+
+def _deep_cache_entry(work: Path, endpoint: str) -> None:
+    """A fresh run over a cache that holds one entry nested too deep."""
+    (work / "corpus.jsonl").unlink()
+    (work / "corpus.jsonl.manifest").unlink()
+    _first_cache_file(work).write_bytes(DEEP)
+
+
+def _regenerated(work: Path, pristine: Path, err: str) -> None:
+    corpus = (work / "corpus.jsonl").read_text(encoding="utf-8")
+    assert corpus == (pristine / "corpus.jsonl").read_text(encoding="utf-8")
+    entry = _first_cache_file(work)
+    line, = [line for line in corpus.splitlines()
+             if json.loads(line)["prompt_digest"] == entry.name]
+    assert entry.read_text(encoding="utf-8") == line
+
+
+def _event_skipped(work: Path, pristine: Path, err: str) -> None:
+    assert (work / "corpus.jsonl").read_bytes() == (pristine / "corpus.jsonl").read_bytes()
+    lost = json.loads((pristine / "corpus.jsonl.manifest").read_text().splitlines()[2])
+    healed = json.loads((work / "corpus.jsonl.manifest").read_text().splitlines()[-1])
+    assert healed == lost
+
+
+def _deep_reply_config(work: Path, endpoint: str) -> None:
+    (work / "config.json").write_text(json.dumps(
+        {"backend": "live", "endpoint": endpoint, "max_attempts": 1, "max_in_flight": 1}))
+
+
+def _each_item_failed(work: Path, pristine: Path, err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 7
+    assert all("BackendUnavailable: unexpected response shape" in line
+               and "nested too deep" in line for line in lines[:6])
+
+
+TOO_DEEP = ": not valid JSON: nested too deep to decode\n"
+
+# id -> (damage, given the endpoint of a server whose replies are nested too
+# deep; command; exit code; for exit 2 the file blamed and how its message
+# goes on, else a check of the outcome)
+DEEP_INPUTS = {
+    "records": (_deep_line("records.jsonl", 2), "reconstruct", 2,
+                ("records.jsonl", ": line 2" + TOO_DEEP)),
+    "evaluate-corpus": (_deep_line("corpus.jsonl", 3), "evaluate", 2,
+                        ("corpus.jsonl", ": line 3" + TOO_DEEP)),
+    "resume-corpus": (_deep_line("corpus.jsonl", 2), "resume", 2,
+                      ("corpus.jsonl", ": line 2" + TOO_DEEP)),
+    "cache-entry": (_deep_cache_entry, "resume", 0, _regenerated),
+    "manifest-event": (_deep_line("corpus.jsonl.manifest", 3), "resume", 0, _event_skipped),
+    "manifest-header": (_deep_line("corpus.jsonl.manifest", 1), "resume", 2,
+                        ("corpus.jsonl.manifest", ": unreadable header: nested too deep")),
+    "config": (_deep_file("config.json"), "reconstruct", 2,
+               ("config.json", ": nested too deep to decode\n")),
+    "stats": (_deep_file("left.json"), "report", 2,
+              ("left.json", ": nested too deep to decode\n")),
+    "live-reply": (_deep_reply_config, "reconstruct", 4, _each_item_failed),
+}
+
+
+@pytest.fixture(scope="module")
+def deep_reply_server():
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(DEEP), DEEP)
+    with FakeChatServer(raw_reply=reply) as server:
+        yield server
+
+
+@pytest.mark.parametrize("case", DEEP_INPUTS)
+def test_json_nested_too_deep_is_bad_input_not_a_crash(pristine, deep_reply_server, tmp_path,
+                                                       capsys, monkeypatch, case):
+    damage, command, code, then = DEEP_INPUTS[case]
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setenv("LYRECON_API_KEY", "test-key")
+    damage(tmp_path, deep_reply_server.endpoint)
+    argv = _argv(command, tmp_path)
+    if isinstance(then, tuple):
+        blamed, message = then
+        assert _check(argv, f"{tmp_path / blamed}{message}", capsys) == code
+    else:
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        then(tmp_path, pristine, capsys.readouterr().err)
 
 
 # field -> a long value of the wrong type or out of range

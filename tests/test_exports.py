@@ -73,3 +73,25 @@ def test_the_cli_loads_neither_statistics_nor_array():
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True, timeout=60)
     assert run.stdout == "[]\n"
+
+
+def test_only_decode_json_calls_the_json_decoder():
+    # json.loads raises RecursionError on input nested too deep; decode_json
+    # turns that into the ValueError every reader handles
+    calls = []
+    for path in sorted(Path(lyrecon.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "decode_json"]
+        inside = {id(node) for top in helper for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                calls.append(f"{path.name}:{node.lineno}: from json import")
+            elif isinstance(node, ast.Import) and any(
+                    alias.name == "json" and alias.asname for alias in node.names):
+                calls.append(f"{path.name}:{node.lineno}: json imported by another name")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                  and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                where = "decode_json" if id(node) in inside else "elsewhere"
+                calls.append(f"{path.name}: json.{node.attr} {where}")
+    assert calls == ["pipeline.py: json.loads decode_json"]
