@@ -12,7 +12,9 @@ leak through flags or config files.
 Results are cached on disk under a content address: the SHA-256 of prompt
 text + model + decoding parameters. A second call with identical inputs is
 served from the cache without touching the network, which is what makes
-batch runs resumable and reruns free.
+batch runs resumable and reruns free. The cache is an append-only log of
+corpus lines in numbered segment files, indexed by a scan at open (see
+``LyricsCache``).
 
 The mock backend is a deterministic offline stand-in: its lyrics use every
 vocabulary word at least once, span at least two blank-line-separated
@@ -28,8 +30,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -187,55 +191,170 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class LyricsCache:
-    """One file per digest under ``<root>/<digest[:2]>/<digest>``, holding
-    the entry as its corpus line without the newline.
+# LyricsCache keeps the locations of this many of its latest puts (see its
+# docstring): run_batch's whole window at the default max_in_flight
+_MEMO_SIZE = _WINDOW_PER_WORKER * BackendConfig.max_in_flight
 
-    A write goes to a temp file that is then renamed over the entry, so a
-    reader sees either no entry or a whole one, and concurrent writers of
-    one digest leave one whole entry. An entry that does not parse, or that
-    is filed under another digest, is a miss and is left as it is: the
-    fresh result's write replaces it. Key order is not read, so an entry
-    in any key order hits.
+_SEGMENT_NAME = re.compile(r"(0|[1-9][0-9]*)\.log")
+_SHARD_NAME = re.compile(r"[0-9a-f]{2}")  # a directory of the per-file layout
+# corpus_entry_line writes the digest under this key, which no JSON string
+# value can hold unescaped, so the scan at open finds it without decoding
+_DIGEST_KEY = b'"prompt_digest": "'
+_SEGMENTS = 1 << 32  # the most segment files one cache indexes
+_SEGMENT_BYTES = 1 << 48  # the largest segment file
+
+
+def _location(segment: int, start: int, length: int) -> int:
+    """Where a line is, as one int, which holds less memory than a tuple:
+    its segment's position in ``LyricsCache._segments``, its start offset
+    in that file and its length."""
+    return (length * _SEGMENT_BYTES + start) * _SEGMENTS + segment
+
+
+class LyricsCache:
+    """An append-only log of entries in numbered segment files
+    ``<root>/<n>.log``. Each line is an entry's corpus line, so a segment is
+    byte for byte a corpus file.
+
+    Opening the cache scans the segments in number order and maps each
+    digest to its last line that ends in a newline, reading the digest from
+    its key without decoding the line; a torn tail is skipped. ``get``
+    parses the line and checks its digest, so a line that cannot be read,
+    does not parse, or holds another digest is a miss, and the fresh
+    result is appended.
+
+    A cache makes its own segment on its first ``put``, at the next free
+    number (``O_EXCL``), so numbers follow creation order and a run that
+    only hits creates no file. Appends are serialised by a lock, and a
+    write that fails part way ends the segment: the next ``put`` starts
+    another, so no line follows a torn one. Nothing compacts the segments
+    yet: an entry written twice keeps both lines.
+
+    A ``put`` of a digest indexed at open updates its location in place.
+    A new digest goes into a memo of the latest ``_MEMO_SIZE`` puts only, so
+    memory does not grow with the batch. The trade: a prompt repeated more
+    than ``_MEMO_SIZE`` puts later in the same process is a miss and is
+    generated again (the mock backend makes the same bytes; a live one
+    sends one more request), and the next open finds both lines.
+
+    Two processes sharing a root each write their own segment and see only
+    the lines that were there when they opened it, so a prompt both need is
+    generated by both; a later open takes the line of the higher-numbered
+    segment.
+
+    Entries of earlier builds, one file each under ``<root>/<d[:2]>/<d>``,
+    still hit: when the root holds such a directory at open, a digest the
+    log lacks is read from its file, in any key order, and any error
+    reading it is a miss. New entries always go to the log.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
-        self._root = os.path.join(self.root, "")  # ends with a separator
-        self._shards: set[str] = set()  # shard dirs this instance made
+        self._segments: list[str] = []  # paths, in number order, then this cache's own
+        self._index: dict[int, int] = {}  # digest as an int -> location
+        self._memo: dict[int, int] = {}  # the same, for the latest puts of new digests
+        self._legacy = False  # whether per-file entries may exist
+        self._lock = threading.Lock()
+        self._fd: int | None = None  # this cache's segment, from the first put
+        self._end = 0  # its length
+        self._close: weakref.finalize | None = None
+        self._next = 0  # the segment number to try next
+        try:
+            names = os.listdir(self.root)
+        except (FileNotFoundError, NotADirectoryError):  # a first put reports it
+            names = []
+        numbers = []
+        for name in names:
+            if _SEGMENT_NAME.fullmatch(name):
+                numbers.append(int(name[:-4]))
+            elif _SHARD_NAME.fullmatch(name):
+                self._legacy = True
+        for number in sorted(numbers):
+            self._segments.append(os.path.join(self.root, f"{number}.log"))
+            try:
+                self._scan(self._segments[-1], len(self._segments) - 1)
+            except OSError:  # the lines not indexed are misses
+                pass
+        if numbers:
+            self._next = max(numbers) + 1
+
+    def _scan(self, path: str, segment: int) -> None:
+        index = self._index
+        start = 0
+        with open(path, "rb") as fh:
+            for line in fh:
+                at = line.find(_DIGEST_KEY)
+                if at >= 0 and line.endswith(b"\n"):
+                    at += len(_DIGEST_KEY)
+                    try:
+                        index[int(line[at:at + 64], 16)] = _location(segment, start, len(line))
+                    except ValueError:  # not a digest: the line is a miss
+                        pass
+                start += len(line)
 
     def get(self, digest: str) -> CorpusEntry | None:
-        path = f"{self._root}{digest[:2]}{os.sep}{digest}"
+        key = int(digest, 16)
+        location = self._index.get(key)
+        if location is None:
+            location = self._memo.get(key)
         try:
-            with open(path, "rb") as fh:
-                entry = parse_entry(fh.read())
-        except (FileNotFoundError, CorpusFormatError):
+            if location is not None:
+                rest, segment = divmod(location, _SEGMENTS)
+                length, start = divmod(rest, _SEGMENT_BYTES)
+                fd = os.open(self._segments[segment], os.O_RDONLY)
+                try:
+                    line = os.pread(fd, length, start)
+                finally:
+                    os.close(fd)
+                entry = parse_entry(line)
+            elif self._legacy:
+                with open(os.path.join(self.root, digest[:2], digest), "rb") as fh:
+                    entry = parse_entry(fh.read())
+            else:
+                return None
+        except (OSError, CorpusFormatError):
             return None
         return entry if entry.prompt_digest == digest else None
 
     def put(self, result: CorpusEntry) -> None:
-        digest = result.prompt_digest
-        shard = self._root + digest[:2]
-        path = f"{shard}{os.sep}{digest}"
-        # one temp name per writer: the batch's threads share the pid
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        data = corpus_entry_line(result).encode("utf-8")
-        if shard not in self._shards:
-            os.makedirs(shard, exist_ok=True)
-            self._shards.add(shard)
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-        try:
-            fd = os.open(tmp, flags, 0o666)
-        except FileNotFoundError:  # the shard was removed after it was made
-            os.makedirs(shard, exist_ok=True)
-            fd = os.open(tmp, flags, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+        key = int(result.prompt_digest, 16)
+        line = (corpus_entry_line(result) + "\n").encode("utf-8")
+        with self._lock:
+            if self._fd is None:
+                self._open_segment()
+            start = self._end
+            try:
+                view = memoryview(line)
+                while view:
+                    view = view[os.write(self._fd, view):]
+            except BaseException:
+                self._close()  # no line goes after a torn one
+                self._fd = None
+                raise
+            self._end += len(line)
+            location = _location(len(self._segments) - 1, start, len(line))
+            if key in self._index:
+                self._index[key] = location
+            else:
+                self._memo.pop(key, None)
+                self._memo[key] = location
+                if len(self._memo) > _MEMO_SIZE:
+                    del self._memo[next(iter(self._memo))]
+
+    def _open_segment(self) -> None:
+        if not os.path.exists(self.root):
+            os.makedirs(self.root, exist_ok=True)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+        while True:
+            path = os.path.join(self.root, f"{self._next}.log")
+            try:
+                fd = os.open(path, flags, 0o666)
+                break
+            except FileExistsError:  # another writer's
+                self._next += 1
+        self._fd, self._end = fd, 0
+        self._close = weakref.finalize(self, os.close, fd)
+        self._segments.append(path)
 
 
 def _chunk(words: Sequence[str], size: int) -> list[str]:

@@ -8,6 +8,7 @@ vocabulary exactly and the coverage metric can be asserted to be 1.0.
 from __future__ import annotations
 
 import csv
+import json
 import random
 from pathlib import Path
 
@@ -121,3 +122,27 @@ def replace_line(path: Path, line_no: int, text: bytes) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     lines[line_no - 1] = text
     path.write_bytes(b"".join(lines))
+
+
+# the key order of the cache files of builds before a cache file held its
+# entry as a corpus line
+OLDER_KEY_ORDER = ("track_id", "prompt_digest", "lyrics", "model", "created_at")
+
+
+def write_per_file_cache(root: Path, corpus: bytes, older: int | None = None) -> list[Path]:
+    """A cache in the per-file layout of earlier builds, holding each line
+    of ``corpus`` less its newline at ``<root>/<digest[:2]>/<digest>``, and
+    line ``older`` (0-based) with its keys in ``OLDER_KEY_ORDER``. Returns
+    the files in line order."""
+    paths = []
+    for i, line in enumerate(corpus.splitlines()):
+        data = json.loads(line)
+        if i == older:
+            line = json.dumps({key: data[key] for key in OLDER_KEY_ORDER},
+                              ensure_ascii=False).encode("utf-8")
+        digest = data["prompt_digest"]
+        path = root / digest[:2] / digest
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(line)
+        paths.append(path)
+    return paths

@@ -13,7 +13,8 @@ import pytest
 import lyrecon
 import lyrecon.backend as backend_module
 from fakeserver import FakeChatServer, refused_endpoint
-from fixtures import write_aligned_fixtures, write_lexicons
+from fixtures import (OLDER_KEY_ORDER, write_aligned_fixtures, write_lexicons,
+                      write_per_file_cache)
 from lyrecon.analysis import segment
 from lyrecon.backend import (
     AuthMissing,
@@ -128,25 +129,28 @@ def test_generate_mock_uses_cache(tmp_path):
 
 
 def test_cache_layout_on_disk(tmp_path):
+    # a cache's first put makes the next segment; a segment is a corpus file
+    config = BackendConfig(kind="mock")
     cache = LyricsCache(tmp_path / "cache")
-    result = generate(_prompt(), BackendConfig(kind="mock"), cache)
-    digest = result.prompt_digest
-    stored = tmp_path / "cache" / digest[:2] / digest
-    assert stored.read_text(encoding="utf-8") == corpus_entry_line(result)
+    results = [generate(_prompt(track_id=f"T{i}", mood=mood), config, cache)
+               for i, mood in enumerate(("happy", "sad"))]
+    assert os.listdir(tmp_path / "cache") == ["0.log"]
+    assert (tmp_path / "cache" / "0.log").read_text(encoding="utf-8") == "".join(
+        corpus_entry_line(result) + "\n" for result in results)
+    generate(_prompt(mood="calm"), config, LyricsCache(tmp_path / "cache"))
+    assert sorted(os.listdir(tmp_path / "cache")) == ["0.log", "1.log"]
 
 
 def test_cache_entry_in_an_older_key_order_hits(tmp_path):
-    cache = LyricsCache(tmp_path / "cache")
+    # a cache file of an earlier build, in the key order of older builds
     config = BackendConfig(kind="mock")
-    first = generate(_prompt(), config, cache)
-    stored = tmp_path / "cache" / first.prompt_digest[:2] / first.prompt_digest
-    data = json.loads(stored.read_text(encoding="utf-8"))
-    keys = ("track_id", "prompt_digest", "lyrics", "model", "created_at")
-    stored.write_text(json.dumps({key: data[key] for key in keys}, ensure_ascii=False),
-                      encoding="utf-8")
-    again = generate(_prompt(), config, cache)
+    first = generate(_prompt(), config, LyricsCache(tmp_path / "new"))
+    stored, = write_per_file_cache(tmp_path / "cache", corpus_entry_line(first).encode(), 0)
+    assert list(json.loads(stored.read_bytes())) == list(OLDER_KEY_ORDER)
+    again = generate(_prompt(), config, LyricsCache(tmp_path / "cache"))
     assert again.cached is True
     assert again == first
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [stored.parent.name]
 
 
 def test_cache_hit_rebinds_track_id(tmp_path):
@@ -379,18 +383,105 @@ def test_batch_memory_does_not_grow_with_batch_size(tmp_path):
     ids=["truncated", "missing-field", "empty-lyrics", "other-digest", "model-not-text"],
 )
 def test_unreadable_cache_entry_is_a_miss_and_replaced(tmp_path, damage):
-    cache = LyricsCache(tmp_path / "cache")
     config = BackendConfig(kind="mock")
-    first = generate(_prompt(), config, cache)
-    stored = tmp_path / "cache" / first.prompt_digest[:2] / first.prompt_digest
-    original = stored.read_bytes()
-    stored.write_text(damage(json.loads(original)))
+    first = generate(_prompt(), config, LyricsCache(tmp_path / "cache"))
+    segment = tmp_path / "cache" / "0.log"
+    original = segment.read_bytes()
+    segment.write_text(damage(json.loads(original)) + "\n")
+    cache = LyricsCache(tmp_path / "cache")
     assert cache.get(first.prompt_digest) is None
-    stored.write_text(damage(json.loads(original)))
     again = generate(_prompt(), config, cache)
     assert again.cached is False
     assert again == first
-    assert stored.read_bytes() == original
+    # the fresh line goes to a segment of its own, which a later open reads
+    assert (tmp_path / "cache" / "1.log").read_bytes() == original
+    assert LyricsCache(tmp_path / "cache").get(first.prompt_digest) == first
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path: path.write_text(json.dumps({"track_id": "T1"})),
+    lambda path: (path.unlink(), path.mkdir()),
+    lambda path: (path.unlink(), path.parent.rmdir(), path.parent.write_text("")),
+], ids=["missing-field", "a-directory", "shard-a-file"])
+def test_unreadable_per_file_entry_is_a_miss_and_appended(tmp_path, damage):
+    config = BackendConfig(kind="mock")
+    first = generate(_prompt(), config, LyricsCache(tmp_path / "new"))
+    stored, = write_per_file_cache(tmp_path / "cache", corpus_entry_line(first).encode())
+    damage(stored)
+    cache = LyricsCache(tmp_path / "cache")
+    assert cache.get(first.prompt_digest) is None
+    again = generate(_prompt(), config, cache)
+    assert again.cached is False
+    assert again == first
+    assert (tmp_path / "cache" / "0.log").read_text() == corpus_entry_line(first) + "\n"
+    assert LyricsCache(tmp_path / "cache").get(first.prompt_digest) == first
+
+
+def test_torn_tail_is_skipped_and_never_appended_to(tmp_path):
+    config = BackendConfig(kind="mock")
+    prompts = [_prompt(track_id=f"T{i}", mood=mood) for i, mood in enumerate(("a", "b"))]
+    cache = LyricsCache(tmp_path / "cache")
+    results = [generate(prompt, config, cache) for prompt in prompts]
+    segment = tmp_path / "cache" / "0.log"
+    whole = segment.read_bytes()
+    os.truncate(segment, len(whole) - 1)  # the last line loses only its newline
+    cache = LyricsCache(tmp_path / "cache")
+    assert cache.get(results[0].prompt_digest) == results[0]
+    assert cache.get(results[1].prompt_digest) is None
+    assert generate(prompts[1], config, cache).cached is False
+    assert segment.read_bytes() == whole[:-1]
+    assert (tmp_path / "cache" / "1.log").read_bytes() == whole.splitlines(True)[1]
+
+
+def test_a_failed_append_ends_the_segment(tmp_path, monkeypatch):
+    cache = LyricsCache(tmp_path / "cache")
+    entries = [CorpusEntry(f"T{i}", f"{i:064x}", "m", "t", "la\n" * 100) for i in range(3)]
+    cache.put(entries[0])
+    real_write = os.write
+
+    def half_write(fd, data):
+        real_write(fd, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", half_write)
+    with pytest.raises(OSError):
+        cache.put(entries[1])
+    monkeypatch.undo()
+    cache.put(entries[2])
+    reopened = LyricsCache(tmp_path / "cache")
+    assert [reopened.get(e.prompt_digest) for e in entries] == [entries[0], None, entries[2]]
+    assert (tmp_path / "cache" / "1.log").read_text() == corpus_entry_line(entries[2]) + "\n"
+
+
+def test_a_repeat_past_the_memo_is_a_miss_until_the_next_open(tmp_path):
+    def entry(i: int) -> CorpusEntry:
+        return CorpusEntry(f"T{i}", f"{i:064x}", "m", "t", "la\n")
+
+    cache = LyricsCache(tmp_path / "cache")
+    for i in range(backend_module._MEMO_SIZE):
+        cache.put(entry(i))
+    assert cache.get(entry(0).prompt_digest) == entry(0)  # inside the memo
+    cache.put(entry(backend_module._MEMO_SIZE))
+    assert cache.get(entry(0).prompt_digest) is None  # past it
+    assert cache.get(entry(1).prompt_digest) == entry(1)
+    assert LyricsCache(tmp_path / "cache").get(entry(0).prompt_digest) == entry(0)
+
+
+def test_index_built_at_open_costs_at_most_160_bytes_an_entry(tmp_path):
+    n = 20_000
+    (tmp_path / "cache").mkdir()
+    with open(tmp_path / "cache" / "0.log", "w", encoding="utf-8") as fh:
+        for i in range(n):
+            fh.write(corpus_entry_line(CorpusEntry(
+                f"T{i}", cache_key(str(i), "m", 0.7, 1024), "m", "t", "la\n")) + "\n")
+    tracemalloc.start()
+    try:
+        cache = LyricsCache(tmp_path / "cache")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cache.get(cache_key(str(n - 1), "m", 0.7, 1024)).track_id == f"T{n - 1}"
+    assert held <= 160 * n
 
 
 def test_concurrent_puts_of_one_digest_leave_a_whole_entry(tmp_path):

@@ -318,24 +318,23 @@ def _deep_file(name: str):
     return lambda work, endpoint: (work / name).write_bytes(DEEP)
 
 
-def _first_cache_file(work: Path) -> Path:
-    return min(path for path in (work / "corpus.jsonl.cache").rglob("*") if path.is_file())
-
-
 def _deep_cache_entry(work: Path, endpoint: str) -> None:
-    """A fresh run over a cache that holds one entry nested too deep."""
+    """A fresh run over a cache whose first line holds its digest and then
+    JSON nested too deep."""
     (work / "corpus.jsonl").unlink()
     (work / "corpus.jsonl.manifest").unlink()
-    _first_cache_file(work).write_bytes(DEEP)
+    segment = work / "corpus.jsonl.cache" / "0.log"
+    digest = json.loads(segment.read_bytes().splitlines()[0])["prompt_digest"]
+    replace_line(segment, 1, b'{"prompt_digest": "%s", "lyrics": %s\n' % (digest.encode(), DEEP))
 
 
 def _regenerated(work: Path, pristine: Path, err: str) -> None:
     corpus = (work / "corpus.jsonl").read_text(encoding="utf-8")
     assert corpus == (pristine / "corpus.jsonl").read_text(encoding="utf-8")
-    entry = _first_cache_file(work)
-    line, = [line for line in corpus.splitlines()
-             if json.loads(line)["prompt_digest"] == entry.name]
-    assert entry.read_text(encoding="utf-8") == line
+    # the one entry generated again is appended to a segment of its own
+    first = (pristine / "corpus.jsonl.cache" / "0.log").read_text(encoding="utf-8")
+    assert (work / "corpus.jsonl.cache" / "1.log").read_text(encoding="utf-8") == (
+        first.splitlines(keepends=True)[0])
 
 
 def _event_skipped(work: Path, pristine: Path, err: str) -> None:

@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fakeserver import FakeChatServer, refused_endpoint
-from fixtures import FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons
+from fixtures import (FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons,
+                      write_per_file_cache)
 from lyrecon import backend as be
 from lyrecon import cli, evaluation
 from lyrecon.analysis import segment
@@ -1073,20 +1074,127 @@ def test_reconstruct_regenerates_only_a_truncated_cache_entry(tmp_path):
     assert _reconstruct_mock(records, out) == 0
     reference = out.read_bytes()
     cache_dir = tmp_path / "corpus.jsonl.cache"
+    victim = (cache_dir / "0.log").read_bytes().splitlines(keepends=True)[7]
+    replace_line(cache_dir / "0.log", 8, victim[: len(victim) // 2] + b"\n")
     before = _cache_files(cache_dir)
-    victim = sorted(before)[7]
-    (cache_dir / victim).write_bytes(before[victim][0][: len(before[victim][0]) // 2])
     out.unlink()
     Path(str(out) + ".manifest").unlink()
 
     assert _reconstruct_mock(records, out) == 0
     assert out.read_bytes() == reference
     after = _cache_files(cache_dir)
-    assert set(after) == set(before)
-    assert after[victim][0] == before[victim][0]
-    assert {k: v for k, v in after.items() if k != victim} == {
-        k: v for k, v in before.items() if k != victim
-    }
+    # the one regenerated entry goes to a segment of its own; nothing else changes
+    assert after.pop("1.log")[0] == victim
+    assert after == before
+
+
+@contextlib.contextmanager
+def _counting_generations():
+    """The track ids the mock backend generates for, in call order."""
+    generated: list[str] = []
+    real = be.mock_generate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(be, "mock_generate",
+                   lambda prompt: (generated.append(prompt.track_id), real(prompt))[1])
+        yield generated
+
+
+@pytest.fixture(scope="module")
+def twenty_track_run(tmp_path_factory) -> Path:
+    """Records, corpus, manifest and cache of a finished 20-track mock run."""
+    root = tmp_path_factory.mktemp("twenty")
+    assert _reconstruct_mock(_join(root, 20, seed=11), root / "corpus.jsonl") == 0
+    return root
+
+
+def test_reconstruct_over_a_per_file_cache_generates_nothing(twenty_track_run, tmp_path):
+    reference = (twenty_track_run / "corpus.jsonl").read_bytes()
+    cache_dir = tmp_path / "cache"
+    write_per_file_cache(cache_dir, reference, older=3)
+    before = _cache_files(cache_dir)
+    with _counting_generations() as generated:
+        assert _reconstruct_mock(twenty_track_run / "records.jsonl", tmp_path / "corpus.jsonl",
+                                 ["--cache-dir", str(cache_dir)]) == 0
+    assert generated == []
+    assert (tmp_path / "corpus.jsonl").read_bytes() == reference
+    assert _cache_files(cache_dir) == before  # no segment made
+
+
+def test_live_rerun_over_a_per_file_cache_sends_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("LYRECON_API_KEY", "k")
+    records = _join(tmp_path, 12, seed=6)
+    cache_dir = tmp_path / "per-file"
+    with FakeChatServer() as server:
+        def run(out: Path, cache: Path) -> bytes:
+            assert cli.main(["reconstruct", "--records", str(records), "-o", str(out),
+                             "--backend", "live", "--endpoint", server.endpoint,
+                             "--cache-dir", str(cache)]) == 0
+            return out.read_bytes()
+
+        reference = run(tmp_path / "a.jsonl", tmp_path / "log")
+        write_per_file_cache(cache_dir, reference, older=0)
+        before = _cache_files(cache_dir)
+        server.mark()
+        assert run(tmp_path / "b.jsonl", cache_dir) == reference
+        assert server.requests_since_mark == 0
+    assert _cache_files(cache_dir) == before
+
+
+def test_unreadable_per_file_entry_costs_one_regeneration(twenty_track_run, tmp_path):
+    reference = (twenty_track_run / "corpus.jsonl").read_bytes()
+    cache_dir = tmp_path / "cache"
+    victim = write_per_file_cache(cache_dir, reference)[5]
+    victim.unlink()
+    victim.mkdir()  # reading it raises IsADirectoryError
+    with _counting_generations() as generated:
+        assert _reconstruct_mock(twenty_track_run / "records.jsonl", tmp_path / "corpus.jsonl",
+                                 ["--cache-dir", str(cache_dir)]) == 0
+    line = reference.splitlines(keepends=True)[5]
+    assert generated == [parse_entry(line).track_id]
+    assert (tmp_path / "corpus.jsonl").read_bytes() == reference
+    assert (cache_dir / "0.log").read_bytes() == line
+
+
+def test_two_runs_sharing_a_cache_at_once_write_the_solo_corpus(twenty_track_run, tmp_path):
+    records = twenty_track_run / "records.jsonl"
+    src = Path(be.__file__).resolve().parents[1]
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "lyrecon.cli", "reconstruct", "--records", str(records),
+         "-o", str(tmp_path / f"{name}.jsonl"), "--backend", "mock",
+         "--cache-dir", str(tmp_path / "shared")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for name in ("a", "b")]
+    try:
+        errors = [proc.communicate(timeout=120)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op once it has exited
+    assert [proc.returncode for proc in procs] == [0, 0], errors
+    solo = (twenty_track_run / "corpus.jsonl").read_bytes()
+    assert (tmp_path / "a.jsonl").read_bytes() == solo
+    assert (tmp_path / "b.jsonl").read_bytes() == solo
+    with _counting_generations() as generated:
+        assert _reconstruct_mock(records, tmp_path / "c.jsonl",
+                                 ["--cache-dir", str(tmp_path / "shared")]) == 0
+    assert generated == []
+    assert (tmp_path / "c.jsonl").read_bytes() == solo
+
+
+def test_a_resume_against_a_full_cache_writes_nothing_to_it(twenty_track_run, tmp_path):
+    shutil.copytree(twenty_track_run, tmp_path, dirs_exist_ok=True)
+    cache_dir = tmp_path / "corpus.jsonl.cache"
+    # a cold run's segment holds the corpus's lines, in the order they were made
+    corpus = (tmp_path / "corpus.jsonl").read_bytes()
+    assert sorted((cache_dir / "0.log").read_bytes().splitlines()) == sorted(corpus.splitlines())
+    assert os.listdir(cache_dir) == ["0.log"]
+    before = _cache_files(cache_dir)
+    lines = corpus.splitlines(keepends=True)
+    (tmp_path / "corpus.jsonl").write_bytes(b"".join(lines[:5]) + lines[5][:40])
+    with _counting_generations() as generated:
+        assert _reconstruct_mock(tmp_path / "records.jsonl", tmp_path / "corpus.jsonl") == 0
+    assert generated == []
+    assert (tmp_path / "corpus.jsonl").read_bytes() == corpus
+    assert _cache_files(cache_dir) == before
 
 
 @pytest.fixture(scope="module")
@@ -1102,16 +1210,26 @@ def finished_run(tmp_path_factory) -> Path:
 @given(data=st.data())
 def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
     # any of: the corpus cut at a byte, the manifest cut at a byte from its
-    # header's newline on, one cache entry deleted; then the same command, twice
+    # header's newline on, the cache's segment cut at a byte, one byte of a
+    # middle line of that segment made NUL; then the same command, twice
     clean = (finished_run / "corpus.jsonl").read_bytes()
     manifest = (finished_run / "corpus.jsonl.manifest").read_bytes()
+    segment = (finished_run / "corpus.jsonl.cache" / "0.log").read_bytes()
     lines = clean.splitlines(keepends=True)
+    cached = segment.splitlines(keepends=True)
     corpus_cut = data.draw(st.none() | st.integers(0, len(clean) - 1))
     manifest_cut = data.draw(
         st.none() | st.integers(manifest.index(b"\n"), len(manifest) - 1))
-    uncached = data.draw(st.none() | st.sampled_from(lines))
-    lost = {line for line, end in zip(lines, itertools.accumulate(map(len, lines)))
+    segment_cut = data.draw(st.none() | st.integers(0, len(segment) - 1))
+    damaged = data.draw(st.none() | st.integers(1, len(cached) - 2))
+    damaged_at = (data.draw(st.integers(0, len(cached[damaged]) - 2))
+                  if damaged is not None else 0)
+    lost = {parse_entry(line).track_id
+            for line, end in zip(lines, itertools.accumulate(map(len, lines)))
             if corpus_cut is not None and end > corpus_cut}
+    ends = itertools.accumulate(map(len, cached))
+    uncached = {parse_entry(line).track_id for i, (line, end) in enumerate(zip(cached, ends))
+                if i == damaged or segment_cut is not None and end > segment_cut}
 
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     out = work / "corpus.jsonl"
@@ -1121,15 +1239,13 @@ def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
             os.truncate(out, corpus_cut)
         if manifest_cut is not None:
             os.truncate(work / "corpus.jsonl.manifest", manifest_cut)
-        if uncached is not None:
-            digest = parse_entry(uncached).prompt_digest
-            (work / "corpus.jsonl.cache" / digest[:2] / digest).unlink()
-        put = []
-        real_put = be.LyricsCache.put
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(be.LyricsCache, "put",
-                       lambda cache, entry: (put.append(entry.track_id),
-                                             real_put(cache, entry)))
+        if damaged is not None:
+            with open(work / "corpus.jsonl.cache" / "0.log", "r+b") as fh:
+                fh.seek(sum(map(len, cached[:damaged])) + damaged_at)
+                fh.write(b"\0")
+        if segment_cut is not None:
+            os.truncate(work / "corpus.jsonl.cache" / "0.log", segment_cut)
+        with _counting_generations() as generated:
             for _ in range(2):
                 assert _reconstruct_mock(work / "records.jsonl", out) == 0
                 assert out.read_bytes() == clean
@@ -1137,8 +1253,9 @@ def test_a_killed_run_resumes_to_the_clean_corpus(finished_run, tmp_path, data):
                 replay = RunManifest.load(work / "corpus.jsonl.manifest",
                                           header["config_digest"], header["records_digest"])
                 assert replay.status == {parse_entry(line).track_id: "done" for line in lines}
-        # only a track whose corpus line and cache entry were both lost is generated
-        assert put == ([parse_entry(uncached).track_id] if uncached in lost else [])
+        # only a track whose corpus line and cache line were both lost is
+        # generated, and once
+        assert sorted(generated) == sorted(lost & uncached)
     finally:
         shutil.rmtree(work)
 
@@ -1175,6 +1292,12 @@ def test_reconstruct_bad_endpoint_exits_2_with_one_line(tmp_path):
     assert not out.exists()
 
 
+def _cached_digests(out: Path) -> set[str]:
+    """The digests in the default cache of a run that wrote ``out``."""
+    with open(Path(str(out) + ".cache") / "0.log", "rb") as fh:
+        return {parse_entry(line).prompt_digest for line in fh}
+
+
 def test_config_file_integer_temperature_hashes_like_the_flag(tmp_path):
     records = _join(tmp_path, 5, seed=2)
     config_path = tmp_path / "config.json"
@@ -1186,13 +1309,12 @@ def test_config_file_integer_temperature_hashes_like_the_flag(tmp_path):
         out.parent.mkdir()
         assert _reconstruct_mock(records, out, extra) == 0
         header = json.loads(Path(str(out) + ".manifest").read_text().splitlines()[0])
-        cache = set(_cache_files(Path(str(out) + ".cache")))
-        runs[name] = (header["config_digest"], cache, out.read_bytes())
+        runs[name] = (header["config_digest"], _cached_digests(out), out.read_bytes())
     assert runs["file"] == runs["flag"]
     default = tmp_path / "default" / "corpus.jsonl"
     default.parent.mkdir()
     assert _reconstruct_mock(records, default) == 0
-    assert set(_cache_files(Path(str(default) + ".cache"))) != runs["flag"][1]
+    assert _cached_digests(default) != runs["flag"][1]
 
 
 def test_reconstruct_live_default_model_is_backend_config_default(tmp_path, monkeypatch):
