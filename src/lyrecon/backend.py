@@ -13,8 +13,8 @@ Results are cached on disk under a content address: the SHA-256 of prompt
 text + model + decoding parameters. A second call with identical inputs is
 served from the cache without touching the network, which is what makes
 batch runs resumable and reruns free. The cache is an append-only log of
-corpus lines in numbered segment files, indexed by a scan at open (see
-``LyricsCache``).
+corpus lines in numbered segment files, indexed by a scan on first use
+(see ``LyricsCache``).
 
 The mock backend is a deterministic offline stand-in: its lyrics use every
 vocabulary word at least once, span at least two blank-line-separated
@@ -191,24 +191,76 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# LyricsCache keeps the locations of this many of its latest puts (see its
-# docstring): run_batch's whole window at the default max_in_flight
-_MEMO_SIZE = _WINDOW_PER_WORKER * BackendConfig.max_in_flight
-
 _SEGMENT_NAME = re.compile(r"(0|[1-9][0-9]*)\.log")
 _SHARD_NAME = re.compile(r"[0-9a-f]{2}")  # a directory of the per-file layout
 # corpus_entry_line writes the digest under this key, which no JSON string
-# value can hold unescaped, so the scan at open finds it without decoding
+# value can hold unescaped, so the scan finds it without decoding the line
 _DIGEST_KEY = b'"prompt_digest": "'
-_SEGMENTS = 1 << 32  # the most segment files one cache indexes
-_SEGMENT_BYTES = 1 << 48  # the largest segment file
+_SEGMENT_BITS = 24  # a place holds a segment number below 2**24
 
 
-def _location(segment: int, start: int, length: int) -> int:
-    """Where a line is, as one int, which holds less memory than a tuple:
-    its segment's position in ``LyricsCache._segments``, its start offset
-    in that file and its length."""
-    return (length * _SEGMENT_BYTES + start) * _SEGMENTS + segment
+class _Index:
+    """Digest -> place of its line, in flat arrays: 20 bytes an entry plus
+    4-byte slots at most two thirds full, 28-29 bytes an entry in all from
+    20k to 237k entries, where a dict from the digests' ints to packed
+    places holds about 130.
+
+    An entry is keyed by its digest's last 64 bits. Two digests that share
+    them (about one pair in 10**9 among 200k digests) share an entry: a
+    ``get`` of the one not stored last reads the other's line, whose digest
+    does not match, so it is a miss.
+    """
+
+    def __init__(self) -> None:
+        from array import array  # loaded by a cache's first use, not by the CLI
+
+        self.keys = array("Q")
+        self.places = array("Q")  # start << _SEGMENT_BITS | segment
+        self.lengths = array("I")
+        self._empty = array("i", [-1])
+        self._slots = self._empty * 8  # an entry's number, or -1 where empty
+
+    def _slot(self, key: int) -> int:
+        """The slot holding ``key``, else the empty slot that would."""
+        slots, keys = self._slots, self.keys
+        mask = len(slots) - 1
+        i = key & mask
+        while slots[i] >= 0 and keys[slots[i]] != key:
+            i = (i + 1) & mask
+        return i
+
+    def get(self, key: int) -> tuple[int, int, int] | None:
+        """The segment, start and length of ``key``'s line, if indexed."""
+        n = self._slots[self._slot(key)]
+        if n < 0:
+            return None
+        place = self.places[n]
+        return place & ((1 << _SEGMENT_BITS) - 1), place >> _SEGMENT_BITS, self.lengths[n]
+
+    def set(self, key: int, segment: int, start: int, length: int) -> None:
+        i = self._slot(key)
+        n = self._slots[i]
+        place = start << _SEGMENT_BITS | segment
+        if n >= 0:
+            self.places[n], self.lengths[n] = place, length
+            return
+        self.keys.append(key)
+        self.places.append(place)
+        self.lengths.append(length)
+        self._slots[i] = len(self.keys) - 1
+        if 3 * len(self.keys) > 2 * len(self._slots):
+            self._slots = slots = self._empty * (2 * len(self._slots))
+            mask = len(slots) - 1
+            for n, key in enumerate(self.keys):
+                i = key & mask
+                while slots[i] >= 0:
+                    i = (i + 1) & mask
+                slots[i] = n
+
+
+def _key(digest: str | bytes) -> int:
+    """A digest's last 64 bits, its key in ``_Index``."""
+    return int(digest, 16) & 0xFFFF_FFFF_FFFF_FFFF
 
 
 class LyricsCache:
@@ -216,12 +268,12 @@ class LyricsCache:
     ``<root>/<n>.log``. Each line is an entry's corpus line, so a segment is
     byte for byte a corpus file.
 
-    Opening the cache scans the segments in number order and maps each
-    digest to its last line that ends in a newline, reading the digest from
-    its key without decoding the line; a torn tail is skipped. ``get``
-    parses the line and checks its digest, so a line that cannot be read,
-    does not parse, or holds another digest is a miss, and the fresh
-    result is appended.
+    The first ``get`` or ``put`` scans the segments in number order and
+    maps each digest to its last line that ends in a newline, reading the
+    digest from its key without decoding the line; a torn tail is skipped.
+    A cache that is never used reads nothing. ``get`` parses the line and
+    checks its digest, so a line that cannot be read, does not parse, or
+    holds another digest is a miss, and the fresh result is appended.
 
     A cache makes its own segment on its first ``put``, at the next free
     number (``O_EXCL``), so numbers follow creation order and a run that
@@ -230,35 +282,38 @@ class LyricsCache:
     another, so no line follows a torn one. Nothing compacts the segments
     yet: an entry written twice keeps both lines.
 
-    A ``put`` of a digest indexed at open updates its location in place.
-    A new digest goes into a memo of the latest ``_MEMO_SIZE`` puts only, so
-    memory does not grow with the batch. The trade: a prompt repeated more
-    than ``_MEMO_SIZE`` puts later in the same process is a miss and is
-    generated again (the mock backend makes the same bytes; a live one
-    sends one more request), and the next open finds both lines.
+    Every digest found by the scan or put since stays in the index, so a
+    prompt repeated anywhere in a run is a hit. The index is flat arrays
+    (``_Index``) of about 29 bytes an entry: memory grows with the cache,
+    not with what a batch holds in flight.
 
     Two processes sharing a root each write their own segment and see only
-    the lines that were there when they opened it, so a prompt both need is
-    generated by both; a later open takes the line of the higher-numbered
-    segment.
+    the lines that were there when they scanned it, so a prompt both need
+    is generated by both; a later scan takes the line of the
+    higher-numbered segment.
 
     Entries of earlier builds, one file each under ``<root>/<d[:2]>/<d>``,
-    still hit: when the root holds such a directory at open, a digest the
-    log lacks is read from its file, in any key order, and any error
+    still hit: when the root holds such a directory at the scan, a digest
+    the log lacks is read from its file, in any key order, and any error
     reading it is a miss. New entries always go to the log.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
+        self._index: _Index | None = None  # built by the first get or put
         self._segments: list[str] = []  # paths, in number order, then this cache's own
-        self._index: dict[int, int] = {}  # digest as an int -> location
-        self._memo: dict[int, int] = {}  # the same, for the latest puts of new digests
         self._legacy = False  # whether per-file entries may exist
         self._lock = threading.Lock()
         self._fd: int | None = None  # this cache's segment, from the first put
         self._end = 0  # its length
         self._close: weakref.finalize | None = None
         self._next = 0  # the segment number to try next
+
+    def _scanned(self) -> _Index:
+        """The index, built by the first call; the lock must be held."""
+        if self._index is not None:
+            return self._index
+        self._index = _Index()
         try:
             names = os.listdir(self.root)
         except (FileNotFoundError, NotADirectoryError):  # a first put reports it
@@ -277,6 +332,7 @@ class LyricsCache:
                 pass
         if numbers:
             self._next = max(numbers) + 1
+        return self._index
 
     def _scan(self, path: str, segment: int) -> None:
         index = self._index
@@ -287,23 +343,20 @@ class LyricsCache:
                 if at >= 0 and line.endswith(b"\n"):
                     at += len(_DIGEST_KEY)
                     try:
-                        index[int(line[at:at + 64], 16)] = _location(segment, start, len(line))
+                        index.set(_key(line[at:at + 64]), segment, start, len(line))
                     except ValueError:  # not a digest: the line is a miss
                         pass
                 start += len(line)
 
     def get(self, digest: str) -> CorpusEntry | None:
-        key = int(digest, 16)
-        location = self._index.get(key)
-        if location is None:
-            location = self._memo.get(key)
+        with self._lock:
+            found = self._scanned().get(_key(digest))
+            path = self._segments[found[0]] if found is not None else None
         try:
-            if location is not None:
-                rest, segment = divmod(location, _SEGMENTS)
-                length, start = divmod(rest, _SEGMENT_BYTES)
-                fd = os.open(self._segments[segment], os.O_RDONLY)
+            if found is not None:
+                fd = os.open(path, os.O_RDONLY)
                 try:
-                    line = os.pread(fd, length, start)
+                    line = os.pread(fd, found[2], found[1])
                 finally:
                     os.close(fd)
                 entry = parse_entry(line)
@@ -317,9 +370,9 @@ class LyricsCache:
         return entry if entry.prompt_digest == digest else None
 
     def put(self, result: CorpusEntry) -> None:
-        key = int(result.prompt_digest, 16)
         line = (corpus_entry_line(result) + "\n").encode("utf-8")
         with self._lock:
+            index = self._scanned()
             if self._fd is None:
                 self._open_segment()
             start = self._end
@@ -332,14 +385,7 @@ class LyricsCache:
                 self._fd = None
                 raise
             self._end += len(line)
-            location = _location(len(self._segments) - 1, start, len(line))
-            if key in self._index:
-                self._index[key] = location
-            else:
-                self._memo.pop(key, None)
-                self._memo[key] = location
-                if len(self._memo) > _MEMO_SIZE:
-                    del self._memo[next(iter(self._memo))]
+            index.set(_key(result.prompt_digest), len(self._segments) - 1, start, len(line))
 
     def _open_segment(self) -> None:
         if not os.path.exists(self.root):

@@ -453,35 +453,50 @@ def test_a_failed_append_ends_the_segment(tmp_path, monkeypatch):
     assert (tmp_path / "cache" / "1.log").read_text() == corpus_entry_line(entries[2]) + "\n"
 
 
-def test_a_repeat_past_the_memo_is_a_miss_until_the_next_open(tmp_path):
-    def entry(i: int) -> CorpusEntry:
-        return CorpusEntry(f"T{i}", f"{i:064x}", "m", "t", "la\n")
-
-    cache = LyricsCache(tmp_path / "cache")
-    for i in range(backend_module._MEMO_SIZE):
-        cache.put(entry(i))
-    assert cache.get(entry(0).prompt_digest) == entry(0)  # inside the memo
-    cache.put(entry(backend_module._MEMO_SIZE))
-    assert cache.get(entry(0).prompt_digest) is None  # past it
-    assert cache.get(entry(1).prompt_digest) == entry(1)
-    assert LyricsCache(tmp_path / "cache").get(entry(0).prompt_digest) == entry(0)
+def test_a_prompt_repeated_far_back_in_a_batch_hits(tmp_path):
+    # one worker, so the repeat starts after the first is stored, and more
+    # prompts between them than run_batch ever holds at once
+    config = BackendConfig(kind="mock", max_in_flight=1)
+    n = 4 * backend_module._WINDOW_PER_WORKER * BackendConfig.max_in_flight
+    prompts = list(_mock_prompts(n))
+    items: list[BatchItem] = []
+    run_batch(prompts + [prompts[0]], config, LyricsCache(tmp_path / "cache"), items.append)
+    assert [item.result.cached for item in items] == [False] * n + [True]
+    assert len((tmp_path / "cache" / "0.log").read_bytes().splitlines()) == n
 
 
-def test_index_built_at_open_costs_at_most_160_bytes_an_entry(tmp_path):
+def test_index_keeps_every_key_through_collisions_and_growth():
+    index = backend_module._Index()
+    keys = [i << 40 for i in range(300)]  # one probe chain until the table is huge
+    for i, key in enumerate(keys):
+        index.set(key, i % 7, 10 * i, i + 1)
+    for i, key in enumerate(keys[::2]):
+        index.set(key, 3, 5 * i, 2)  # an update keeps the entry, takes the place
+    assert [index.get(key) for key in keys[::2]] == [(3, 5 * i, 2) for i in range(150)]
+    assert [index.get(key) for key in keys[1::2]] == [
+        (i % 7, 10 * i, i + 1) for i in range(1, 300, 2)]
+    assert index.get(1) is None
+    assert len(index.keys) == 300
+
+
+def test_index_costs_at_most_32_bytes_an_entry(tmp_path):
     n = 20_000
-    (tmp_path / "cache").mkdir()
-    with open(tmp_path / "cache" / "0.log", "w", encoding="utf-8") as fh:
-        for i in range(n):
-            fh.write(corpus_entry_line(CorpusEntry(
-                f"T{i}", cache_key(str(i), "m", 0.7, 1024), "m", "t", "la\n")) + "\n")
+    entries = [CorpusEntry(f"T{i}", cache_key(str(i), "m", 0.7, 1024), "m", "t", "la\n")
+               for i in range(n)]
     tracemalloc.start()
     try:
         cache = LyricsCache(tmp_path / "cache")
-        held = tracemalloc.get_traced_memory()[0]
+        for entry in entries:
+            cache.put(entry)
+        by_puts = tracemalloc.get_traced_memory()[0]
+        cache = LyricsCache(tmp_path / "cache")  # frees the first
+        assert cache.get("0" * 64) is None  # builds the index by a scan
+        by_scan = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert cache.get(cache_key(str(n - 1), "m", 0.7, 1024)).track_id == f"T{n - 1}"
-    assert held <= 160 * n
+    assert cache.get(entries[-1].prompt_digest) == entries[-1]
+    assert by_puts <= 32 * n
+    assert by_scan <= 32 * n
 
 
 def test_concurrent_puts_of_one_digest_leave_a_whole_entry(tmp_path):
@@ -521,6 +536,41 @@ def test_concurrent_puts_of_one_digest_leave_a_whole_entry(tmp_path):
     for r in range(rounds):
         assert cache.get(f"{r:064x}") is not None
     assert list((tmp_path / "cache").rglob("*.tmp.*")) == []
+
+
+def test_concurrent_puts_and_gets_of_many_digests_keep_every_entry(tmp_path):
+    # the index grows several times while eight threads put and read back
+    cache = LyricsCache(tmp_path / "cache")
+    writers, each = 8, 300
+    errors: list[BaseException] = []
+
+    def entry(i: int, r: int) -> CorpusEntry:
+        return CorpusEntry(f"T{i}", cache_key(f"{i}-{r}", "m", 0.7, 1024), "m", "t", "la\n")
+
+    def writer(i: int) -> None:
+        try:
+            for r in range(each):
+                cache.put(entry(i, r))
+                assert cache.get(entry(i, r).prompt_digest) == entry(i, r)
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    everything = [entry(i, r) for i in range(writers) for r in range(each)]
+    assert [cache.get(e.prompt_digest) for e in everything] == everything
+    reopened = LyricsCache(tmp_path / "cache")
+    assert [reopened.get(e.prompt_digest) for e in everything] == everything
 
 
 # --- endpoint and transport errors ------------------------------------------

@@ -1197,6 +1197,21 @@ def test_a_resume_against_a_full_cache_writes_nothing_to_it(twenty_track_run, tm
     assert _cache_files(cache_dir) == before
 
 
+def test_a_rerun_of_a_finished_run_reads_no_cache(twenty_track_run, tmp_path, monkeypatch):
+    shutil.copytree(twenty_track_run, tmp_path, dirs_exist_ok=True)
+    scanned: list[str] = []
+    real = be.LyricsCache._scan
+    monkeypatch.setattr(be.LyricsCache, "_scan",
+                        lambda cache, path, segment: (scanned.append(path), real(cache, path, segment)))
+    assert _reconstruct_mock(tmp_path / "records.jsonl", tmp_path / "corpus.jsonl") == 0
+    assert scanned == []
+    # one line short, the same run scans the segment
+    lines = (tmp_path / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "corpus.jsonl").write_bytes(b"".join(lines[:-1]))
+    assert _reconstruct_mock(tmp_path / "records.jsonl", tmp_path / "corpus.jsonl") == 0
+    assert scanned == [str(tmp_path / "corpus.jsonl.cache" / "0.log")]
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory) -> Path:
     """Records, corpus, manifest and cache of a finished six-track mock run."""
