@@ -75,6 +75,10 @@ _RETRYABLE_STATUS = {429}
 # the other workers something to do, and still a fixed amount of memory
 _WINDOW_PER_WORKER = 64
 
+# the most workers a config may ask for: with it the window holds at most
+# 16,384 prompts and the pool at most 256 threads, whatever the batch size
+_MOST_IN_FLIGHT = 256
+
 # model used when the config names none, per backend kind
 DEFAULT_MODELS = {"mock": "mock-lyricist", "live": "gpt-4o"}
 
@@ -126,6 +130,14 @@ class BackendConfig:
                     f"live backend requires an http(s) endpoint URL with a host, "
                     f"got {self.endpoint!r}"
                 )
+            try:
+                # as the HTTP stack reads them: a port that is not a number
+                # or is past 65535 raises ValueError, a host IDNA cannot
+                # encode UnicodeError, a ValueError too
+                url.port
+                url.hostname.encode("idna")
+            except ValueError as exc:
+                raise ValueError(f"live endpoint {self.endpoint!r}: {exc}") from None
         # each comparison is false for NaN
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
@@ -143,8 +155,9 @@ class BackendConfig:
             raise ValueError(
                 f"backoff_base {self.backoff_base} makes the wait before attempt "
                 f"{self.max_attempts} longer than {_LONGEST_WAIT:.0f} s")
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if not 1 <= self.max_in_flight <= _MOST_IN_FLIGHT:
+            raise ValueError(f"max_in_flight must be >= 1 and <= {_MOST_IN_FLIGHT}, "
+                             f"got {self.max_in_flight}")
 
     def digest(self) -> str:
         """Stable hash of everything that affects outputs, for manifests."""

@@ -18,7 +18,9 @@ Fidelity metrics tie generated text back to a track's BoW ``{index:
 count}`` map: coverage is the fraction of its words found among the
 stemmed document tokens, and frequency fidelity is the Spearman rank
 correlation (average ranks for ties) between BoW and stemmed-token counts
-over the covered words, None where undefined. Both read a doc's counts
+over the covered words, None where undefined. The counts are ranked as
+exact integers, so a count of any size is scored and two counts that
+differ are never tied. Both read a doc's counts
 from :func:`stem_counts`, whose optional ``stems`` dict memoises token ->
 stem. :class:`FidelityTable` scores a whole BoW file with them for
 ``evaluate``, counting each doc once and each token type once a run.
@@ -27,6 +29,7 @@ stem. :class:`FidelityTable` scores a whole BoW file with them for
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
@@ -228,31 +231,20 @@ def bow_coverage(doc_stems: Counter[str], counts: Mapping[int, int],
     return covered / len(counts)
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
+def _average_ranks(values: Sequence[int]) -> list[float]:
     """1-based ranks, ties averaged."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    order = sorted(values)
+    return [(bisect_left(order, v) + bisect_right(order, v) + 1) / 2 for v in values]
 
 
-def _spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+def _spearman(xs: Sequence[int], ys: Sequence[int]) -> float | None:
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     n = len(rx)
-    mean_x = sum(rx) / n
-    mean_y = sum(ry) / n
-    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry))
-    var_x = sum((a - mean_x) ** 2 for a in rx)
-    var_y = sum((b - mean_y) ** 2 for b in ry)
+    mean = (n + 1) / 2  # n average ranks sum to n(n + 1)/2 exactly
+    cov = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
+    var_x = sum((a - mean) ** 2 for a in rx)
+    var_y = sum((b - mean) ** 2 for b in ry)
     if var_x == 0.0 or var_y == 0.0:
         return None
     return cov / (var_x * var_y) ** 0.5
@@ -262,17 +254,14 @@ def frequency_fidelity(doc_stems: Counter[str], counts: Mapping[int, int],
                        vocab: VocabTable) -> float | None:
     """Spearman correlation of BoW counts vs a doc's stem counts from
     :func:`stem_counts`, over the vocabulary words that occur in the doc;
-    None with fewer than two such words or constant ranks."""
-    bow_counts: list[float] = []
-    text_counts: list[float] = []
+    None with fewer than two such words or constant ranks. Counts are
+    ranked as exact integers, whatever their size."""
     words = vocab.words
-    for index, count in counts.items():
-        word = words[index - 1]
-        if doc_stems[word] > 0:
-            bow_counts.append(float(count))
-            text_counts.append(float(doc_stems[word]))
-    if len(bow_counts) < 2:
+    pairs = [(count, text_count) for index, count in counts.items()
+             if (text_count := doc_stems[words[index - 1]]) > 0]
+    if len(pairs) < 2:
         return None
+    bow_counts, text_counts = zip(*pairs)
     return _spearman(bow_counts, text_counts)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 from pathlib import Path
 
@@ -31,6 +32,18 @@ FIXTURE_WORDS: tuple[str, ...] = (
     "bright", "deep", "high", "low", "slow", "fast", "hard", "soft",
     "loud", "quiet", "sweet", "bitter", "full", "broken", "whole", "half",
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus ``extra``, with this checkout's
+    ``src`` put first on ``PYTHONPATH``, for a subprocess that imports
+    lyrecon."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
 
 GENRE_POOL = (
     "Rock", "Pop", "Indie", "Electronic", "Folk", "Experimental",

@@ -6,14 +6,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 import lyrecon
 import lyrecon.backend as backend_module
 from fakeserver import FakeChatServer, refused_endpoint
-from fixtures import (OLDER_KEY_ORDER, write_aligned_fixtures, write_lexicons,
+from fixtures import (OLDER_KEY_ORDER, src_env, write_aligned_fixtures, write_lexicons,
                       write_per_file_cache)
 from lyrecon.analysis import segment
 from lyrecon.backend import (
@@ -186,6 +185,8 @@ def test_cache_hit_rebinds_track_id(tmp_path):
         dict(max_attempts=1100),
         dict(timeout=backend_module._LONGEST_WAIT * 1.01),
         dict(backoff_base=backend_module._LONGEST_WAIT / 2, max_attempts=4),
+        # past the bound: a window of more than 16,384 prompts
+        dict(max_in_flight=backend_module._MOST_IN_FLIGHT + 1),
     ],
 )
 def test_bad_configs_rejected(kwargs):
@@ -576,7 +577,10 @@ def test_concurrent_puts_and_gets_of_many_digests_keep_every_entry(tmp_path):
 # --- endpoint and transport errors ------------------------------------------
 
 @pytest.mark.parametrize(
-    "endpoint", ["notaurl", "ftp://host/v1", "http://", "https:///v1/chat"]
+    "endpoint", ["notaurl", "ftp://host/v1", "http://", "https:///v1/chat",
+                 # a port or host the HTTP stack refuses only once the batch runs
+                 "http://127.0.0.1:1180591620717411303424/v1", "http://127.0.0.1:65536/v1",
+                 "http://127.0.0.1:http/v1", "http://a..b/v1", f"http://{'a' * 64}.com/v1"]
 )
 def test_live_endpoint_needs_http_scheme_and_host(endpoint):
     with pytest.raises(ValueError, match="endpoint"):
@@ -671,13 +675,9 @@ def test_offline_commands_never_load_an_http_client(tmp_path):
               "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
               "loaded = ['http.client', 'urllib.request', 'requests']\n"
               "print(json.dumps([codes, [m for m in loaded if m in sys.modules]]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src"),
-         *filter(None, [env.get("PYTHONPATH")])])
     done = subprocess.run(
         [sys.executable, "-c", script, json.dumps([list(map(str, c)) for c in commands])],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, check=True, timeout=120,
     )
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]

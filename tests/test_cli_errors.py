@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from fakeserver import FakeChatServer, refused_endpoint
 from fixtures import make_bow_text, replace_line, write_aligned_fixtures, write_lexicons
+from lyrecon import backend as be
 from lyrecon import cli
 
 # the command that reads each input, by name
@@ -304,6 +305,25 @@ def test_a_wait_too_long_for_the_os_is_a_bad_configuration(pristine, tmp_path, c
     argv = _argv("reconstruct", tmp_path) + [
         "--backend", "live", "--endpoint", refused_endpoint(), "--max-in-flight", "1", *flags]
     assert _check(argv, "bad configuration: ", capsys) == 2
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("endpoint, workers", [
+    ("http://127.0.0.1:1180591620717411303424/v1", "1"),
+    ("http://127.0.0.1:65536/v1", "1"),
+    ("http://a..b/v1", "1"),
+    (None, str(be._MOST_IN_FLIGHT + 1)),
+], ids=["port-past-a-c-long", "port-past-65535", "empty-host-label", "max-in-flight"])
+def test_an_endpoint_or_pool_the_os_would_refuse_is_a_bad_configuration(
+        pristine, tmp_path, capsys, monkeypatch, endpoint, workers):
+    # checked before any file is written or any thread starts
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setenv("LYRECON_API_KEY", "test-key")
+    argv = _argv("reconstruct", tmp_path) + [
+        "--backend", "live", "--endpoint", endpoint or refused_endpoint(),
+        "--max-attempts", "1", "--max-in-flight", workers]
+    blamed = f"live endpoint {endpoint!r}: " if endpoint else "max_in_flight must be"
+    assert _check(argv, f"bad configuration: {blamed}", capsys) == 2
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -280,6 +280,67 @@ def test_fidelity_constant_ranks_undefined():
     assert frequency_fidelity(_stems("night fire"), counts, VOCAB) is None
 
 
+def test_fidelity_ranks_counts_that_floats_would_tie():
+    # 2**53 + 1 has no float of its own: as floats both counts rank 1.5
+    counts = {1: 2**53, 2: 2**53 + 1}
+    assert frequency_fidelity(_stems("night\nfire fire"), counts, VOCAB) == 1.0
+    assert frequency_fidelity(_stems("night night\nfire"), counts, VOCAB) == -1.0
+
+
+def _float_fidelity(doc_stems, counts, vocab):
+    """frequency_fidelity as it was computed on float copies of the counts
+    with a tie-run loop, the reference for counts below 2**53."""
+    def average_ranks(values):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        ranks = [0.0] * len(values)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            avg = (i + j) / 2 + 1
+            for k in range(i, j + 1):
+                ranks[order[k]] = avg
+            i = j + 1
+        return ranks
+
+    bow_counts, text_counts = [], []
+    for index, count in counts.items():
+        word = vocab.words[index - 1]
+        if doc_stems[word] > 0:
+            bow_counts.append(float(count))
+            text_counts.append(float(doc_stems[word]))
+    if len(bow_counts) < 2:
+        return None
+    rx, ry = average_ranks(bow_counts), average_ranks(text_counts)
+    n = len(rx)
+    mean_x = sum(rx) / n
+    mean_y = sum(ry) / n
+    cov = sum((a - mean_x) * (b - mean_y) for a, b in zip(rx, ry))
+    var_x = sum((a - mean_x) ** 2 for a in rx)
+    var_y = sum((b - mean_y) ** 2 for b in ry)
+    if var_x == 0.0 or var_y == 0.0:
+        return None
+    return cov / (var_x * var_y) ** 0.5
+
+
+# a few small values make ties common; the wide range reaches 2**53 - 1
+_COUNT = st.one_of(st.integers(1, 4), st.integers(1, 2**53 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.lists(st.tuples(_COUNT, st.one_of(st.just(0), _COUNT)), max_size=40))
+def test_fidelity_equals_the_float_formula_bit_for_bit_below_2_53(pairs):
+    vocab = VocabTable(words=tuple(f"w{i}" for i in range(len(pairs))))
+    counts = {i + 1: bow for i, (bow, _) in enumerate(pairs)}
+    doc_stems = Counter({f"w{i}": text for i, (_, text) in enumerate(pairs) if text})
+    got = frequency_fidelity(doc_stems, counts, vocab)
+    want = _float_fidelity(doc_stems, counts, vocab)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.hex() == want.hex()
+
+
 def test_each_token_type_is_stemmed_once(monkeypatch):
     calls: Counter[str] = Counter()
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lyrecon
+from fixtures import src_env
 from lyrecon.errors import LyreconError
 
 MODULES = sorted(f"lyrecon.{info.name}" for info in pkgutil.iter_modules(lyrecon.__path__))
@@ -68,9 +68,8 @@ def test_the_cli_loads_neither_statistics_nor_array():
     # builds its fidelity table
     code = ("import sys, lyrecon.cli; "
             "print(sorted({'statistics', 'array'} & set(sys.modules)))")
-    src = Path(lyrecon.__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": str(src)},
+                         env=src_env(),
                          capture_output=True, text=True, check=True, timeout=60)
     assert run.stdout == "[]\n"
 

@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fakeserver import FakeChatServer, refused_endpoint
-from fixtures import (FIXTURE_WORDS, replace_line, write_aligned_fixtures, write_lexicons,
-                      write_per_file_cache)
+from fixtures import (FIXTURE_WORDS, replace_line, src_env, write_aligned_fixtures,
+                      write_lexicons, write_per_file_cache)
 from lyrecon import backend as be
 from lyrecon import cli, evaluation
 from lyrecon.analysis import segment
@@ -511,7 +511,6 @@ def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, mo
     records = _join(tmp_path, 20, seed=8)
     out = tmp_path / "corpus.jsonl"
     cache_dir = tmp_path / "cache"
-    src = Path(be.__file__).resolve().parents[1]
     with FakeChatServer(hold_seconds=0.5) as server:
         def argv(corpus: Path) -> list[str]:
             return ["reconstruct", "--records", str(records), "-o", str(corpus),
@@ -520,7 +519,7 @@ def test_ctrl_c_stops_a_live_run_promptly_with_one_line_and_resumes(tmp_path, mo
 
         with subprocess.Popen(
             [sys.executable, "-m", "lyrecon.cli", *argv(out)],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=src_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         ) as proc:
             try:
@@ -754,6 +753,18 @@ def test_evaluate_fidelity_equals_the_library_on_the_whole_bow(tmp_path):
     assert sorted(table.whole) == [2, 5]
 
 
+def test_evaluate_scores_a_count_past_the_float_range(tmp_path):
+    # counts are ranked as exact integers; a float copy of this one overflows
+    bow = tmp_path / "bow.txt"
+    bow.write_text(f"%night,fire,stone\nTRHUGE,S0,1:{10**400},2:1,3:5\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, {"TRHUGE": "night night night\nfire stone stone"})
+    code, out_dir = _evaluate(tmp_path, corpus, bow=bow)
+    assert code == 0
+    assert (out_dir / "fidelity.tsv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "TRHUGE\t1.000000\t1.000000"]
+
+
 def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # token ids follow set order, which the hash seed changes; no output may
     records = _join(tmp_path, 30, seed=9)
@@ -771,7 +782,6 @@ def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                                 "1970-01-01T00:00:00+00:00", lyrics)
             fh.write(corpus_entry_line(entry) + "\n")
     abstract, concrete = write_lexicons(tmp_path / "lex")
-    src = Path(be.__file__).resolve().parents[1]
     outputs = []
     for seed in ("0", "1"):
         out_dir = tmp_path / f"eval-{seed}"
@@ -781,7 +791,7 @@ def test_evaluate_outputs_do_not_depend_on_the_hash_seed(tmp_path):
              "--bow", str(tmp_path / "data" / "bow.txt"),
              "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
              "-o", str(out_dir)],
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            env=src_env(PYTHONHASHSEED=seed),
             capture_output=True, check=True, timeout=120,
         )
         outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
@@ -877,7 +887,6 @@ def test_evaluate_bad_input_exits_2_with_one_line_and_no_output(tmp_path, fault)
     }
     paths["reference"].write_bytes(corpus.read_bytes())
     expected = _damage(fault, paths)
-    src = Path(be.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "lyrecon.cli", "evaluate",
          "--corpus", str(corpus), "--reference", str(paths["reference"]),
@@ -885,7 +894,7 @@ def test_evaluate_bad_input_exits_2_with_one_line_and_no_output(tmp_path, fault)
          "--abstract-lexicon", str(abstract), "--concrete-lexicon", str(concrete),
          "-o", str(paths["out"])],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=src_env(),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -1157,12 +1166,11 @@ def test_unreadable_per_file_entry_costs_one_regeneration(twenty_track_run, tmp_
 
 def test_two_runs_sharing_a_cache_at_once_write_the_solo_corpus(twenty_track_run, tmp_path):
     records = twenty_track_run / "records.jsonl"
-    src = Path(be.__file__).resolve().parents[1]
     procs = [subprocess.Popen(
         [sys.executable, "-m", "lyrecon.cli", "reconstruct", "--records", str(records),
          "-o", str(tmp_path / f"{name}.jsonl"), "--backend", "mock",
          "--cache-dir", str(tmp_path / "shared")],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=src_env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) for name in ("a", "b")]
     try:
         errors = [proc.communicate(timeout=120)[1] for proc in procs]
@@ -1292,13 +1300,12 @@ def test_a_kill_while_creating_the_manifest_leaves_none(tmp_path, monkeypatch):
 def test_reconstruct_bad_endpoint_exits_2_with_one_line(tmp_path):
     records = _join(tmp_path, 3, seed=2)
     out = tmp_path / "corpus.jsonl"
-    src = Path(be.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "lyrecon.cli", "reconstruct",
          "--records", str(records), "-o", str(out),
          "--backend", "live", "--endpoint", "notaurl"],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src), "LYRECON_API_KEY": "k"},
+        env=src_env(LYRECON_API_KEY="k"),
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
