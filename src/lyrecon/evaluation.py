@@ -269,12 +269,13 @@ class FidelityTable:
     """A BoW file held flat, and the coverage and rank correlation of each
     corpus track it holds, scored as the corpus streams past.
 
-    Every track's pairs, in file order, sit in one index array (2 B a pair
-    below 65,536 words, else 4 B) and one count array (4 B); track ``slot``
-    owns ``offsets[slot]`` to ``offsets[slot + 1]``, and ``slots`` maps a
-    track id to its slot. A track with a count of 2**32 or more, which the
-    format allows, keeps its counts dict in ``whole``. ``score`` rebuilds
-    a track's counts map only when the corpus names it.
+    Every track's pairs, in file order, sit in one index array and one count
+    array of one type, 2 B a value below 65,536 words and else 4 B; track
+    ``slot`` owns ``offsets[slot]`` to ``offsets[slot + 1]``, and ``slots``
+    maps a track id to its slot. A track whose counts do not fit holds their
+    dense ranks, which fit, as it has no more distinct counts than the
+    vocabulary has words; the rank correlation reads only their order.
+    ``score`` rebuilds a track's counts map only when the corpus names it.
     """
 
     def __init__(self, vocab: VocabTable, tracks: Iterable[TrackBow]) -> None:
@@ -285,18 +286,19 @@ class FidelityTable:
         self._mean = mean
         self.vocab = vocab
         self.indices = array("H" if len(vocab) < 1 << 16 else "I")
-        self.counts = array("I")
+        self.counts = array(self.indices.typecode)
         self.offsets = array("Q", [0])
         self.slots: dict[str, int] = {}
-        self.whole: dict[int, dict[int, int]] = {}
         for track in tracks:
-            slot = self.slots[track.track_id] = len(self.offsets) - 1
+            self.slots[track.track_id] = len(self.offsets) - 1
+            values = track.counts.values()
             try:
-                self.counts.extend(track.counts.values())
-                self.indices.extend(track.counts)
+                self.counts.extend(values)
             except OverflowError:
-                del self.counts[self.offsets[slot]:]
-                self.whole[slot] = track.counts
+                del self.counts[self.offsets[-1]:]
+                rank = {count: i for i, count in enumerate(sorted(set(values)))}
+                self.counts.extend(map(rank.__getitem__, values))
+            self.indices.extend(track.counts)
             self.offsets.append(len(self.counts))
         self.stems: dict[str, str] = {}  # each token type is stemmed once per run
         self.rows: list[str] = []
@@ -307,10 +309,8 @@ class FidelityTable:
         slot = self.slots.get(track_id)
         if slot is None:
             return
-        counts = self.whole.get(slot)
-        if counts is None:
-            start, end = self.offsets[slot], self.offsets[slot + 1]
-            counts = dict(zip(self.indices[start:end], self.counts[start:end]))
+        start, end = self.offsets[slot], self.offsets[slot + 1]
+        counts = dict(zip(self.indices[start:end], self.counts[start:end]))
         doc_stems = stem_counts(doc, self.stems)
         coverage = bow_coverage(doc_stems, counts, self.vocab)
         self.coverages.append(coverage)

@@ -9,12 +9,11 @@ runs it, and the layers it should see must be non-zero.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-from fixtures import write_aligned_fixtures, write_lexicons
+from fixtures import src_env, write_aligned_fixtures, write_lexicons
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACKS = 12
@@ -22,12 +21,10 @@ TRACKS = 12
 
 def _traced(tmp_path: Path, name: str, argv: list[str]) -> dict:
     result = tmp_path / f"{name}.json"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     subprocess.run(
         [sys.executable, str(ROOT / "bench" / "stage.py"), str(result), "1", *argv],
-        env=env, check=True, capture_output=True, timeout=120,
+        env=src_env(PYTHONDONTWRITEBYTECODE="1"),  # leave bench/ as it is
+        check=True, capture_output=True, timeout=120,
     )
     stage = json.loads(result.read_text(encoding="utf-8"))
     assert stage["exit_code"] == 0

@@ -195,6 +195,14 @@ def _with_fields(name: str, **fields):
     return damage
 
 
+def _append_stray_corpus_line(work: Path) -> None:
+    """A damage that appends a copy of the corpus's first line under a track
+    id the records lack."""
+    first = json.loads((work / "corpus.jsonl").read_bytes().splitlines()[0])
+    with open(work / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**first, "track_id": "TRSTRAY"}) + "\n")
+
+
 # id -> (damage to the copied run, command, extra flags, the file blamed and
 # how its message goes on)
 EXPLICIT = {
@@ -281,6 +289,39 @@ EXPLICIT = {
     "report-out-dir-is-a-file": (
         lambda w: (w / "out" / "report").write_text("keep\n"),
         "report", [], "out/report", ": File exists"),
+    "records-empty": (
+        lambda w: (w / "records.jsonl").write_bytes(b""),
+        "reconstruct", [], "records.jsonl", ": no records to reconstruct\n"),
+    "corpus-track-not-in-records-on-resume": (
+        _append_stray_corpus_line,
+        "resume", [], "corpus.jsonl", ": holds track(s) not in the records file"),
+    "manifest-empty-on-resume": (
+        lambda w: (w / "corpus.jsonl.manifest").write_bytes(b""),
+        "resume", [], "corpus.jsonl.manifest", ": empty manifest\n"),
+    "records-changed-on-resume": (
+        lambda w: (w / "records.jsonl").write_bytes(
+            b"".join((w / "records.jsonl").read_bytes().splitlines(keepends=True)[:-1])),
+        "resume", [], "corpus.jsonl.manifest",
+        ": manifest was written for a different records file\n"),
+    "bow-track-id-empty": (
+        lambda w: replace_line(w / "bow.txt", 3, b",SRC,1:1\n"),
+        "join", [], "bow.txt", ": line 3: empty track_id\n"),
+    "mood-csv-track-id-empty": (
+        lambda w: replace_line(w / "mood.csv", 3, b",0.5,0.5\n"),
+        "join", [], "mood.csv", ": line 3: empty track id\n"),
+    "genres-track-id-empty": (
+        lambda w: replace_line(w / "genres.tsv", 2, b"\tRock\n"),
+        "join", [], "genres.tsv", ": line 2: empty track id\n"),
+    "mood-table-gap-at-zero": (
+        lambda w: (w / "mood_table.txt").write_text("0.25 2 a\n"),
+        "join", [], "mood_table.txt", ": mood table leaves a gap at theta=0*pi\n"),
+    "mood-table-gap-between-arcs": (
+        lambda w: (w / "mood_table.txt").write_text("0 0.5 a\n1 2 b\n"),
+        "join", [], "mood_table.txt", ": mood table leaves a gap at theta=0.5*pi\n"),
+    "mood-table-start-past-2-pi": (
+        lambda w: (w / "mood_table.txt").write_text("2.5 0.5 a\n"),
+        "join", [], "mood_table.txt",
+        ": mood table entry 0: start 2.5*pi outside [0, 2*pi)\n"),
 }
 
 

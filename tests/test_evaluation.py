@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fixtures import ABSTRACT_WORDS, CONCRETE_WORDS
 from lyrecon import evaluation, porter
 from lyrecon.analysis import Lexicon, segment
-from lyrecon.bow import VocabTable
+from lyrecon.bow import TrackBow, VocabTable
 from lyrecon.errors import LyreconError
 from lyrecon.evaluation import (
     bow_coverage,
@@ -391,6 +391,45 @@ def test_memoised_stems_match_porter_on_rule_words():
         assert bow_coverage(doc_stems, counts, vocab) == 1.0
         assert frequency_fidelity(doc_stems, counts, vocab) == pytest.approx(0.4, abs=1e-12)
     assert stems == {t: porter.stem(t) for t in tokens}
+
+
+def test_fidelity_table_holds_4_bytes_a_pair_below_65536_words():
+    # 20,000 tracks of 80 pairs over a 5,000-word vocabulary: index and
+    # count take 2 B each; the rest is the track's offset and slot
+    vocab = VocabTable(words=tuple(f"w{i}" for i in range(5_000)))
+    rng = random.Random(21)
+    shapes = [dict(zip(rng.sample(range(1, 5_001), 80), rng.choices(range(1, 200), k=80)))
+              for _ in range(16)]
+    tracks = [TrackBow(f"TR{i:06d}", "", shapes[i % 16]) for i in range(20_000)]
+    evaluation.FidelityTable(vocab, tracks[:10])  # loads statistics, fills free lists
+    tracemalloc.start()
+    try:
+        table = evaluation.FidelityTable(vocab, tracks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.counts) == 1_600_000
+    assert peak <= 4 * 1_600_000 + 100 * 20_000
+
+
+def test_fidelity_table_scores_a_count_past_2_bytes_from_its_ranks():
+    # a 5,000-word table stores 2-byte counts; 65,536 and up take the rank path
+    vocab = VocabTable(words=("night", "fire", "stone", "glass",
+                              *(f"w{i}" for i in range(4_996))))
+    counts = {1: 70_000, 2: 65_536, 3: 65_536, 4: 3, 9: 1}
+    table = evaluation.FidelityTable(vocab, [TrackBow("TR1", "", counts)])
+    assert table.counts.typecode == "H"
+    assert list(table.counts) == [3, 2, 2, 1, 0]
+    for text in ("night night night\nfire fire\nstone glass", "glass glass\nnight fire",
+                 "fire\nstone stone stone\nnight night"):
+        doc_stems = _stems(text)
+        rho = frequency_fidelity(doc_stems, counts, vocab)
+        assert rho is not None
+        coverage = bow_coverage(doc_stems, counts, vocab)
+        table.score("TR1", segment(text))
+        assert table.rows[-1] == f"TR1\t{coverage:.6f}\t{rho:.6f}"
+        assert table.coverages[-1].hex() == coverage.hex()
+        assert table.correlations[-1].hex() == rho.hex()
 
 
 # --- compare / render -------------------------------------------------------

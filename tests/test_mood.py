@@ -131,6 +131,12 @@ def test_out_of_range_rejected():
         validate_mood_table(_table((0, 2.5 * PI, "too far")))
 
 
+def test_empty_label_rejected():
+    # a table file cannot write an empty label, so only a built table has one
+    with pytest.raises(MoodTableError, match="^mood table entry 1: empty label$"):
+        validate_mood_table(_table((0, PI, "up"), (PI, 2 * PI, "")))
+
+
 def test_zero_length_arc_rejected():
     with pytest.raises(MoodTableError, match="^mood table entry 0: zero-length arc"):
         validate_mood_table(_table((0.5, 0.5, "nothing"), (0, 2 * PI, "all")))
