@@ -26,7 +26,6 @@ reason).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -35,17 +34,18 @@ import threading
 import time
 import weakref
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
 from lyrecon.errors import LyreconError
 from lyrecon.pipeline import (CorpusEntry, CorpusFormatError, corpus_entry_line,
                               decode_json, json_fields, parse_entry)
 from lyrecon.prompt import Prompt
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "API_KEY_ENV",
@@ -171,7 +171,8 @@ class BackendConfig:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        from hashlib import sha256  # loads libcrypto: only reconstruct hashes
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _backoff_delay(base: float, attempt: int) -> float:
@@ -201,7 +202,8 @@ def cache_key(
         sort_keys=True,
         ensure_ascii=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    from hashlib import sha256
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 _SEGMENT_NAME = re.compile(r"(0|[1-9][0-9]*)\.log")
@@ -436,6 +438,7 @@ def mock_generate(prompt: Prompt) -> str:
 
 
 def _now_utc() -> str:
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -604,6 +607,7 @@ def run_batch(
     waits for the requests in flight, and is re-raised; what those
     requests return is cached for a rerun.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: reconstruct only
     require_credential(config)
     window = _WINDOW_PER_WORKER * config.max_in_flight
     submitted: deque[tuple[str, Future]] = deque()

@@ -219,5 +219,7 @@ def ordered_vocabulary(track: TrackBow, vocab: VocabTable) -> list[str]:
     for index in track.counts:
         if index > size:
             raise BowParseError(f"word index {index} outside 1..{size}")
-    order = sorted(track.counts.items(), key=lambda item: (-item[1], item[0]))
-    return [vocab.words[index - 1] for index, _ in order]
+    counts = track.counts
+    # stable: equal counts keep the ascending index order of the inner sort
+    order = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return [vocab.words[index - 1] for index in order]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import sys
 import typing
@@ -156,6 +155,8 @@ def _build_backend_config(args: argparse.Namespace) -> tuple[be.BackendConfig, d
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    from hashlib import sha256  # loads libcrypto: join and evaluate never hash
+
     config, settings = _build_backend_config(args)
     cap = settings.get("max_vocabulary_words")
     be.require_credential(config)  # before any state is created
@@ -168,14 +169,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     out = Path(args.out)
     manifest_path = Path(str(out) + ".manifest")
     # the vocabulary cap changes prompt text, so it is part of run identity
-    config_digest = hashlib.sha256(
+    config_digest = sha256(
         f"{config.digest()}:cap={cap}".encode("utf-8")
     ).hexdigest()
     if manifest_path.exists():
         with _reading(manifest_path):
             manifest = RunManifest.load(manifest_path, config_digest, records_digest)
         with _reading(out):
-            present = dict.fromkeys(recover_corpus_file(out))
+            found = recover_corpus_file(out)
     else:
         if out.exists() and out.stat().st_size > 0:
             raise LyreconError(
@@ -187,7 +188,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             )
         except OSError as exc:  # blame the path given, not the manifest's temp file
             raise LyreconError(f"{out}: {exc.strerror or exc}") from exc
-        present = {}
+        found = []
+    present = dict.fromkeys(found)
 
     record_ids = [r.track_id for r in records]
     known = set(record_ids)
@@ -233,7 +235,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 4
-    rewrite_corpus_in_order(out, record_ids)
+    # run_batch appended the rest in record order, so a corpus that held the
+    # first tracks in order, and nothing else, is in order already
+    if found != record_ids[:len(found)]:
+        rewrite_corpus_in_order(out, record_ids)
     print(f"corpus complete: {len(record_ids)} record(s) in {out}")
     return 0
 

@@ -26,7 +26,6 @@ a field of another JSON type, or a ``NaN``, makes a bad line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -74,7 +73,8 @@ class ManifestMismatch(LyreconError):
 
 
 def file_digest(path: Path | str) -> str:
-    digest = hashlib.sha256()
+    from hashlib import sha256
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import make_bow_text
@@ -152,6 +152,22 @@ def test_ordered_vocabulary_index_check():
     with pytest.raises(BowParseError, match=r"^word index 2 outside 1\.\.1$") as err:
         ordered_vocabulary(track, vocab)
     assert err.value.line_no is None
+
+
+# counts that tie, counts past 2**53 where floats would tie them, and any count
+_count = st.one_of(st.integers(1, 3), st.integers(2**53 - 1, 2**53 + 2), st.integers(1, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), _count), min_size=1, max_size=30,
+                unique_by=lambda pair: pair[0]))
+@example([(3, 2**53 + 1), (1, 2**53), (2, 2**53 + 1), (5, 1), (4, 1), (6, 2**53)])
+def test_ordered_vocabulary_sorts_by_count_down_then_index_up(pairs):
+    counts = dict(pairs)  # inserted in the drawn order, not in index order
+    vocab = VocabTable(words=tuple(f"w{i}" for i in range(1, 31)))
+    track = TrackBow(track_id="T", source_id="", counts=counts)
+    order = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    assert ordered_vocabulary(track, vocab) == [vocab.words[i - 1] for i, _ in order]
 
 
 # --- property tests ---------------------------------------------------------

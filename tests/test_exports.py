@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lyrecon
-from fixtures import src_env
+from fixtures import src_env, write_aligned_fixtures, write_lexicons
+from lyrecon import cli
 from lyrecon.errors import LyreconError
 
 MODULES = sorted(f"lyrecon.{info.name}" for info in pkgutil.iter_modules(lyrecon.__path__))
@@ -72,6 +74,41 @@ def test_the_cli_loads_neither_statistics_nor_array():
                          env=src_env(),
                          capture_output=True, text=True, check=True, timeout=60)
     assert run.stdout == "[]\n"
+
+
+def test_join_evaluate_and_report_load_no_hashing_thread_pool_or_datetime(tmp_path):
+    # only reconstruct hashes, runs a thread pool and stamps times: hashlib
+    # loads libcrypto and concurrent.futures loads logging
+    paths = write_aligned_fixtures(tmp_path / "data", 6, seed=2)
+    abstract, concrete = write_lexicons(tmp_path / "lex")
+    records, corpus, stats = tmp_path / "r.jsonl", tmp_path / "corpus.jsonl", tmp_path / "eval"
+    assert cli.main(["join", "--bow", str(paths["bow"]), "--mood", str(paths["mood"]),
+                     "--genres", str(paths["genres"]), "--meta", str(paths["meta"]),
+                     "-o", str(records)]) == 0
+    assert cli.main(["reconstruct", "--records", str(records), "--backend", "mock",
+                     "-o", str(corpus)]) == 0
+    commands = [
+        ["join", "--bow", paths["bow"], "--mood", paths["mood"],
+         "--genres", paths["genres"], "--meta", paths["meta"], "-o", tmp_path / "j.jsonl"],
+        ["evaluate", "--corpus", corpus, "--bow", paths["bow"],
+         "--abstract-lexicon", abstract, "--concrete-lexicon", concrete, "-o", stats],
+        ["report", "--left", stats / "stats.json", "--right", stats / "stats.json",
+         "-o", tmp_path / "report"],
+    ]
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "from lyrecon import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "watched = {'hashlib', '_hashlib', 'concurrent.futures', 'logging',\n"
+              "           'datetime', '_datetime'}\n"
+              "print(json.dumps([codes, sorted(watched & (set(sys.modules) - before))]))\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([list(map(str, c)) for c in commands])],
+        env=src_env(), capture_output=True, text=True, check=True, timeout=120,
+    )
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
 
 
 def test_only_decode_json_calls_the_json_decoder():

@@ -39,6 +39,7 @@ from lyrecon.pipeline import (
     read_corpus,
     read_records,
     recover_corpus_file,
+    rewrite_corpus_in_order,
     write_records,
 )
 
@@ -1215,6 +1216,56 @@ def test_a_resume_whose_corpus_was_deleted_rebuilds_it_from_the_cache(twenty_tra
     assert generated == []
     assert (tmp_path / "corpus.jsonl").read_bytes() == (
         twenty_track_run / "corpus.jsonl").read_bytes()
+
+
+def _counting_rewrites(monkeypatch) -> list[Path]:
+    """The corpus paths reconstruct hands to the in-order rewrite, in call order."""
+    calls: list[Path] = []
+    real = cli.rewrite_corpus_in_order
+    monkeypatch.setattr(cli, "rewrite_corpus_in_order",
+                        lambda path, order: (calls.append(path), real(path, order))[1])
+    return calls
+
+
+def test_a_cold_run_does_not_rewrite_its_corpus(tmp_path, monkeypatch):
+    rewrites = _counting_rewrites(monkeypatch)
+    records = _join(tmp_path, 10, seed=4)
+    out = tmp_path / "corpus.jsonl"
+    assert _reconstruct_mock(records, out) == 0
+    assert rewrites == []
+    assert [e.track_id for e in read_corpus(out)] == [r.track_id for r in read_records(records)]
+
+
+def test_a_torn_resume_in_order_does_not_rewrite_its_corpus(twenty_track_run, tmp_path,
+                                                           monkeypatch):
+    shutil.copytree(twenty_track_run, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "corpus.jsonl"
+    corpus = out.read_bytes()
+    lines = corpus.splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:5]) + lines[5][:40])
+    rewrites = _counting_rewrites(monkeypatch)
+    assert _reconstruct_mock(tmp_path / "records.jsonl", out) == 0
+    assert rewrites == []
+    assert out.read_bytes() == corpus
+
+
+def test_a_resumed_corpus_holding_a_line_twice_is_still_rewritten(twenty_track_run, tmp_path,
+                                                                  monkeypatch):
+    # its distinct tracks are the records' first five, in order, but the file
+    # is not: the first track's line was appended twice by hand
+    shutil.copytree(twenty_track_run, tmp_path, dirs_exist_ok=True)
+    out = tmp_path / "corpus.jsonl"
+    lines = out.read_bytes().splitlines(keepends=True)
+    kept = b"".join(lines[:5]) + lines[0] + lines[0]
+    out.write_bytes(kept)
+    rewrites = _counting_rewrites(monkeypatch)
+    assert _reconstruct_mock(tmp_path / "records.jsonl", out) == 0
+    assert rewrites == [out]
+    # the run appends the other fifteen tracks' lines, then the rewrite orders the file
+    expected = tmp_path / "expected.jsonl"
+    expected.write_bytes(kept + b"".join(lines[5:]))
+    rewrite_corpus_in_order(expected, [parse_entry(line).track_id for line in lines])
+    assert out.read_bytes() == expected.read_bytes() == lines[0] * 3 + b"".join(lines[1:])
 
 
 def test_a_rerun_of_a_finished_run_reads_no_cache(twenty_track_run, tmp_path, monkeypatch):
